@@ -13,7 +13,7 @@ from .chain import (BigradedComplex, HomologyGroup, SNFResult,
                     SparseIntMatrix, rank_over_q, smith_normal_form)
 from .cube import (MERGE, NONORIENTABLE_BAND, SPLIT, CubeEdge, CubeVertex,
                    GradedCube, build_cube, edge_parity_admissible,
-                   grading_shift_on_drop, h_grading, msign, q_grading, sigma)
+                   grading_shift_on_drop, msign)
 from .diagram import (UNLINK_UNVERIFIED, UNLINK_VERIFIED, Crossing,
                       PlanarDiagram, ResolvedState, diagram_from_json,
                       parse_pd)
@@ -42,10 +42,9 @@ __all__ = [
     "diagram_from_json", "braid_closure", "UNLINK_VERIFIED",
     "UNLINK_UNVERIFIED",
     # cube
-    "GradedCube", "CubeVertex", "CubeEdge", "build_cube", "sigma",
-    "h_grading", "q_grading", "edge_parity_admissible",
-    "grading_shift_on_drop", "msign", "MERGE", "SPLIT",
-    "NONORIENTABLE_BAND",
+    "GradedCube", "CubeVertex", "CubeEdge", "build_cube",
+    "edge_parity_admissible", "grading_shift_on_drop", "msign", "MERGE",
+    "SPLIT", "NONORIENTABLE_BAND",
     # chain algebra
     "SparseIntMatrix", "SNFResult", "smith_normal_form", "rank_over_q",
     "HomologyGroup", "BigradedComplex", "LaurentPoly",

@@ -6,11 +6,14 @@ layers:
 
 * ``smith_normal_form`` is a self-contained textbook SNF with
   smallest-pivot selection and a Markowitz-style sparsity tiebreak.
-* ``BigradedComplex.homology`` first shrinks the complex by cancelling
+* ``BigradedComplex.homology`` first verifies d^2 = 0, the one place
+  the homology path does so, then shrinks the complex by cancelling
   unit (+-1) differential entries - an exact homotopy equivalence over
   the integers - and only then runs SNF on the small remainder.  The
   unreduced path (``reduce=False``) exists so tests can cross-check the
-  two routes against each other.
+  two routes against each other.  A complex whose differential is not
+  of bidegree (1, 0) is one differential group under the key None;
+  callers that need purity check for that key.
 """
 
 from __future__ import annotations
@@ -527,39 +530,40 @@ class BigradedComplex:
 
     # -- homology -----------------------------------------------------
 
-    def homology(self, reduce: bool = True,
-                 check: bool = True) -> Dict[Optional[Tuple[int, int]],
-                                             HomologyGroup]:
-        """Bigraded integral homology.
+    def homology(self, reduce: bool = True) -> Dict[Optional[Tuple[int, int]],
+                                                    HomologyGroup]:
+        """Bigraded integral homology, after verifying d^2 = 0.
 
         When the differential is q-homogeneous of bidegree (1, 0) the
         result is keyed by (h, q).  Otherwise the complex is treated as a
         single differential group and the result has the single key None.
         """
-        if check:
-            self.check_square_zero()
-        if not self.is_homogeneous((1, 0)):
-            return {None: self._homology_total(reduce)}
-
+        self.check_square_zero()
         if reduce:
             out, alive = self._cancel_units()
         else:
             out, alive = {s: dict(r) for s, r in self.out.items()}, \
                 list(range(self.n_generators))
 
-        by_slice: Dict[Tuple[int, int], List[int]] = {}
-        for g in alive:
-            by_slice.setdefault(self.gradings[g], []).append(g)
+        by_slice: Dict[Optional[Tuple[int, int]], List[int]] = {}
+        if self.is_homogeneous((1, 0)):
+            for g in alive:
+                by_slice.setdefault(self.gradings[g], []).append(g)
+        else:
+            by_slice[None] = alive
+
+        def shift(key, dh: int):
+            # The single slice None is its own successor and predecessor.
+            return None if key is None else (key[0] + dh, key[1])
 
         # Ranks and torsion per slice from SNF of the outgoing maps.
-        snf_cache: Dict[Tuple[int, int], SNFResult] = {}
+        snf_cache: Dict[Optional[Tuple[int, int]], SNFResult] = {}
 
-        def outgoing(slice_key: Tuple[int, int]) -> SNFResult:
+        def outgoing(slice_key) -> SNFResult:
             if slice_key in snf_cache:
                 return snf_cache[slice_key]
-            h, q = slice_key
-            srcs = by_slice.get((h, q), [])
-            tgts = by_slice.get((h + 1, q), [])
+            srcs = by_slice.get(slice_key, [])
+            tgts = by_slice.get(shift(slice_key, 1), [])
             tix = {g: k for k, g in enumerate(tgts)}
             ent = {}
             for a, s in enumerate(srcs):
@@ -571,38 +575,18 @@ class BigradedComplex:
             return res
 
         result: Dict[Optional[Tuple[int, int]], HomologyGroup] = {}
-        keys = set(by_slice)
         # A slice can carry torsion from the incoming map even if empty
         # itself only when it has generators, so by_slice keys suffice.
-        for key in sorted(keys):
-            h, q = key
+        for key in sorted(by_slice):
             n = len(by_slice[key])
             rank_out = outgoing(key).rank
-            inc = outgoing((h - 1, q)) if (h - 1, q) in by_slice else \
-                SNFResult(0, ())
-            free = n - rank_out - inc.rank
-            torsion = inc.nontrivial_divisors()
-            grp = HomologyGroup(free, torsion)
-            if not grp.is_zero():
+            prev = shift(key, -1)
+            inc = outgoing(prev) if prev in by_slice else SNFResult(0, ())
+            grp = HomologyGroup(n - rank_out - inc.rank,
+                                inc.nontrivial_divisors())
+            if key is None or not grp.is_zero():
                 result[key] = grp
         return result
-
-    def _homology_total(self, reduce: bool) -> HomologyGroup:
-        """Homology of the whole complex as one differential group."""
-        if reduce:
-            out, alive = self._cancel_units()
-        else:
-            out, alive = {s: dict(r) for s, r in self.out.items()}, \
-                list(range(self.n_generators))
-        idx = {g: k for k, g in enumerate(alive)}
-        ent = {}
-        for s, row in out.items():
-            for t, c in row.items():
-                ent[(idx[t], idx[s])] = c
-        res = smith_normal_form(
-            SparseIntMatrix(len(alive), len(alive), ent))
-        free = len(alive) - 2 * res.rank
-        return HomologyGroup(free, res.nontrivial_divisors())
 
     def rational_ranks(self) -> Dict[Tuple[int, int], int]:
         """Free ranks per bigrading over Q (homogeneous differentials only)."""

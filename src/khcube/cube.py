@@ -26,8 +26,6 @@ tables are therefore mirror-paired with the usual ones.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -39,8 +37,8 @@ from .errors import (NotAPseudoDiagram, OutOfDomain, SignInconsistency,
 __all__ = [
     "MERGE", "SPLIT", "NONORIENTABLE_BAND",
     "CubeVertex", "CubeEdge", "GradedCube",
-    "build_cube", "sigma", "h_grading", "q_grading",
-    "edge_parity_admissible", "msign", "grading_shift_on_drop", "DropShift",
+    "build_cube", "edge_parity_admissible", "msign", "grading_shift_on_drop",
+    "DropShift",
 ]
 
 MERGE = "Merge"
@@ -65,15 +63,6 @@ class CubeEdge:
     kind: str                   # MERGE / SPLIT / NONORIENTABLE_BAND
     sigma_elem: int             # w(source state) - w(target state)
     chi: int = -1               # one elementary saddle
-
-
-def worker_count() -> int:
-    """Parallelism cap from KH_THREADS (>=1); defaults to 1."""
-    try:
-        n = int(os.environ.get("KH_THREADS", "1"))
-    except ValueError:
-        return 1
-    return max(1, n)
 
 
 @dataclass
@@ -166,12 +155,6 @@ class GradedCube:
         return (-sum(v) + 3 * (self._sigma_to_o(v) // 2)
                 - self.n_plus + 2 * self.n_minus)
 
-    def h_grading(self, v: Sequence[int]) -> int:
-        return self.h_offset(v)
-
-    def q_grading(self, v: Sequence[int], labeling_q: int) -> int:
-        return labeling_q + self.q_offset(v)
-
     def max_self_intersection(self, pair_budget: int = 2_000_000) -> int:
         """max sigma(v,u) over comparable cube pairs v >= u.
 
@@ -258,13 +241,7 @@ def build_cube(diagram: PlanarDiagram, strict: bool = True,
             writhe = 0  # never observed: the strict gate below raises
         return CubeVertex(key, state, state.n_circles, writhe, status)
 
-    threads = worker_count()
-    if threads > 1 and len(keys) > 64:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            built = list(pool.map(make_vertex, keys))
-    else:
-        built = [make_vertex(k) for k in keys]
-    vertices = {vx.v: vx for vx in built}
+    vertices = {k: make_vertex(k) for k in keys}
 
     if not tolerant:
         bad = sorted(v for v, vx in vertices.items()
@@ -296,20 +273,6 @@ def build_cube(diagram: PlanarDiagram, strict: bool = True,
     return GradedCube(diagram, vertices, edges,
                       diagram.n_plus, diagram.n_minus, o,
                       trust_pseudo=trust_pseudo or not strict)
-
-
-# -- module-level operation wrappers -------------------------------------
-
-def sigma(cube: GradedCube, v: Sequence[int], u: Sequence[int]) -> int:
-    return cube.sigma(v, u)
-
-
-def h_grading(cube: GradedCube, v: Sequence[int]) -> int:
-    return cube.h_grading(v)
-
-
-def q_grading(cube: GradedCube, v: Sequence[int], labeling_q: int) -> int:
-    return cube.q_grading(v, labeling_q)
 
 
 def edge_parity_admissible(edge, chi: Optional[int] = None) -> bool:

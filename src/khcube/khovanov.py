@@ -17,9 +17,14 @@ The reduced variant keeps the subcomplex where the basepoint circle is
 labeled minus; its q-gradings are reported unshifted (a knot's reduced
 table sits in odd q, matching the parity of the unreduced one).
 
-Complexes small enough to hold in memory materialize as a
-BigradedComplex; larger ones compute homology per q-slice in a streaming
-pass, which is exact and verifies the differential slice by slice.
+One routine, ``KhovanovComplex._assemble``, numbers the generators and
+applies the edge plans, for the whole complex or for one q-slice.
+``bigraded_complex`` materializes the whole complex when it is small
+enough to hold in memory, and with ``check`` verifies d^2 = 0 on it.
+``homology`` and ``rational_ranks`` stream instead: each q-slice is
+assembled once, ``BigradedComplex.homology`` verifies d^2 = 0 on it once,
+and a slice whose differential is not of pure bidegree (+1, 0) raises
+SignInconsistency.
 """
 
 from __future__ import annotations
@@ -29,14 +34,13 @@ from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .chain import BigradedComplex, HomologyGroup
-from .cube import (MERGE, NONORIENTABLE_BAND, SPLIT, CubeEdge, GradedCube,
-                   build_cube)
+from .cube import MERGE, NONORIENTABLE_BAND, CubeEdge, GradedCube, build_cube
 from .diagram import PlanarDiagram
 from .errors import KhError, SignInconsistency
 from .laurent import LaurentPoly
 
-__all__ = ["KhovanovComplex", "assemble", "reduced_assemble",
-           "edge_map_on_labels", "edge_sign", "reidemeister_compare"]
+__all__ = ["KhovanovComplex", "assemble", "reduced_assemble", "edge_sign",
+           "reidemeister_compare"]
 
 _MATERIALIZE_LIMIT = 120_000
 
@@ -55,29 +59,6 @@ class _EdgePlan:
     kind: str
     untouched: Tuple[Tuple[int, int], ...]   # (source circle, target circle)
     fused: Tuple[int, ...]                   # merge: (i1,i2,j); split: (i,j1,j2)
-
-
-def edge_map_on_labels(kind: str, bits: Tuple[int, ...]) -> List[Tuple[Tuple[int, ...], int]]:
-    """The Frobenius maps on explicit labels, for oracles and docs.
-
-    Merge input (b1, b2) and split input (b,), values 1 = plus.  Returns
-    a list of (output labels, coefficient).
-    """
-    if kind == MERGE:
-        b1, b2 = bits
-        if b1 and b2:
-            return [((1,), 1)]
-        if b1 or b2:
-            return [((0,), 1)]
-        return []
-    if kind == SPLIT:
-        (b,) = bits
-        if b:
-            return [((1, 0), 1), ((0, 1), 1)]
-        return [((0, 0), 1)]
-    if kind == NONORIENTABLE_BAND:
-        return []
-    raise KhError(f"unknown edge kind {kind}")
 
 
 class KhovanovComplex:
@@ -153,24 +134,27 @@ class KhovanovComplex:
         return _EdgePlan(edge.source, edge.target, sign, edge.kind,
                          tuple(untouched), fused)
 
+    def _popcounts(self, key: Tuple[int, ...],
+                   q: Optional[int] = None) -> Sequence[int]:
+        """Label popcounts at a vertex: all of them, or the one (if any)
+        that puts its generators in q-grading q."""
+        p, qoff = self._p[key], self._qoff[key]
+        n_free = p - 1 if self.reduced else p
+        if q is None:
+            return range(n_free + 1)
+        pc, odd = divmod(q - qoff + p, 2)
+        return (pc,) if not odd and 0 <= pc <= n_free else ()
+
     def _vertex_masks(self, key: Tuple[int, ...],
-                      popcount: Optional[int] = None) -> Iterable[int]:
-        """Label bitmasks at a vertex (basepoint bit forced 0 if reduced),
-        optionally restricted to a given popcount."""
-        p = self._p[key]
-        positions = [i for i in range(p) if i != self._bp[key]]
-        if popcount is None:
-            counts = range(len(positions) + 1)
-        else:
-            if popcount < 0 or popcount > len(positions):
-                return
-            counts = (popcount,)
-        for pc in counts:
-            for chosen in combinations(positions, pc):
-                m = 0
-                for i in chosen:
-                    m |= 1 << i
-                yield m
+                      popcount: int) -> Iterable[int]:
+        """Label bitmasks of a given popcount at a vertex (basepoint bit
+        forced 0 if reduced)."""
+        positions = [i for i in range(self._p[key]) if i != self._bp[key]]
+        for chosen in combinations(positions, popcount):
+            m = 0
+            for i in chosen:
+                m |= 1 << i
+            yield m
 
     def generator_count(self, key: Tuple[int, ...]) -> int:
         p = self._p[key]
@@ -179,11 +163,6 @@ class KhovanovComplex:
     @property
     def total_generators(self) -> int:
         return sum(self.generator_count(k) for k in self._keys)
-
-    def gradings_at(self, key: Tuple[int, ...], mask: int) -> Tuple[int, int]:
-        p = self._p[key]
-        q_label = 2 * bin(mask).count("1") - p
-        return self._h[key], self._qoff[key] + q_label
 
     def graded_ranks(self) -> Dict[Tuple[int, int], int]:
         """Chain-group dimensions per (h, q)."""
@@ -225,7 +204,39 @@ class KhovanovComplex:
             return [(base | (1 << j1), plan.sign), (base | (1 << j2), plan.sign)]
         return [(base, plan.sign)]
 
-    # -- materialized complex ---------------------------------------------
+    # -- assembly -----------------------------------------------------------
+
+    def _assemble(self, q: Optional[int] = None) -> BigradedComplex:
+        """The whole complex (q None) or its q-slice, unverified.
+
+        Generators are numbered vertex by vertex in mask order, then by
+        label popcount, then by combination order; entries follow the
+        edge plans in cube order.  sandbox_perturb draws its seeded
+        entries in this order, so it is part of the output contract.
+        """
+        ids: Dict[Tuple[Tuple[int, ...], int], int] = {}
+        gradings: List[Tuple[int, int]] = []
+        pcs: Dict[Tuple[int, ...], Sequence[int]] = {}
+        for k in self._keys:
+            pcs[k] = self._popcounts(k, q)
+            for pc in pcs[k]:
+                grading = (self._h[k], self._qoff[k] + 2 * pc - self._p[k])
+                for mask in self._vertex_masks(k, pc):
+                    ids[(k, mask)] = len(gradings)
+                    gradings.append(grading)
+        entries: List[Tuple[int, int, int]] = []
+        for plan in self._plans:
+            for pc in pcs[plan.source]:
+                for mask in self._vertex_masks(plan.source, pc):
+                    src = ids[(plan.source, mask)]
+                    for tgt_mask, coef in self._apply_plan(plan, mask):
+                        tgt = ids.get((plan.target, tgt_mask))
+                        if tgt is None:
+                            raise SignInconsistency(
+                                "edge map left its q-slice: "
+                                f"{plan.source}->{plan.target}")
+                        entries.append((src, tgt, coef))
+        return BigradedComplex(gradings, entries)
 
     def bigraded_complex(self, check: bool = True,
                          limit: Optional[int] = _MATERIALIZE_LIMIT) -> BigradedComplex:
@@ -234,19 +245,7 @@ class KhovanovComplex:
             raise KhError(
                 f"complex has {total} generators, beyond the materialization "
                 f"limit {limit}; use homology()/rational_ranks() which stream")
-        ids: Dict[Tuple[Tuple[int, ...], int], int] = {}
-        gradings: List[Tuple[int, int]] = []
-        for k in self._keys:
-            for mask in self._vertex_masks(k):
-                ids[(k, mask)] = len(gradings)
-                gradings.append(self.gradings_at(k, mask))
-        entries: List[Tuple[int, int, int]] = []
-        for plan in self._plans:
-            for mask in self._vertex_masks(plan.source):
-                src = ids[(plan.source, mask)]
-                for tgt_mask, coef in self._apply_plan(plan, mask):
-                    entries.append((src, ids[(plan.target, tgt_mask)], coef))
-        cx = BigradedComplex(gradings, entries)
+        cx = self._assemble()
         if check:
             cx.check_square_zero()
         return cx
@@ -254,70 +253,30 @@ class KhovanovComplex:
     # -- streaming homology -------------------------------------------------
 
     def _q_values(self) -> List[int]:
-        qs = set()
-        for k in self._keys:
-            p, qoff = self._p[k], self._qoff[k]
-            n_free = p - 1 if self.reduced else p
-            for pc in range(n_free + 1):
-                qs.add(qoff + 2 * pc - p)
-        return sorted(qs)
+        return sorted({self._qoff[k] + 2 * pc - self._p[k]
+                       for k in self._keys for pc in self._popcounts(k)})
 
-    def _slice_complex(self, q: int) -> BigradedComplex:
-        """The subcomplex of generators with q-grading q (the differential
-        is q-pure, so these assemble the whole homology)."""
-        ids: Dict[Tuple[Tuple[int, ...], int], int] = {}
-        gradings: List[Tuple[int, int]] = []
-        pcs: Dict[Tuple[int, ...], int] = {}
-        for k in self._keys:
-            p, qoff = self._p[k], self._qoff[k]
-            if (q - qoff + p) % 2:
-                continue
-            pc = (q - qoff + p) // 2
-            n_free = p - 1 if self.reduced else p
-            if not (0 <= pc <= n_free):
-                continue
-            pcs[k] = pc
-            for mask in self._vertex_masks(k, pc):
-                ids[(k, mask)] = len(gradings)
-                gradings.append((self._h[k], q))
-        entries: List[Tuple[int, int, int]] = []
-        for plan in self._plans:
-            pc = pcs.get(plan.source)
-            if pc is None:
-                continue
-            for mask in self._vertex_masks(plan.source, pc):
-                src = ids[(plan.source, mask)]
-                for tgt_mask, coef in self._apply_plan(plan, mask):
-                    tgt = ids.get((plan.target, tgt_mask))
-                    if tgt is None:
-                        raise SignInconsistency(
-                            "edge map left its q-slice: "
-                            f"{plan.source}->{plan.target}")
-                    entries.append((src, tgt, coef))
-        return BigradedComplex(gradings, entries)
+    def homology(self) -> Dict[Tuple[int, int], HomologyGroup]:
+        """Integral homology per (h, q), streamed by q-slice.
 
-    def homology(self, check: bool = True) -> Dict[Tuple[int, int], HomologyGroup]:
-        """Integral homology per (h, q), streamed by q-slice."""
+        The differential is q-pure, so the slices assemble the whole
+        homology.  Each slice is verified (d^2 = 0) by
+        BigradedComplex.homology; a slice whose differential is not of
+        bidegree (+1, 0) raises SignInconsistency here.
+        """
         out: Dict[Tuple[int, int], HomologyGroup] = {}
         for q in self._q_values():
-            cx = self._slice_complex(q)
-            if check:
-                cx.check_square_zero()
-            for key, grp in cx.homology().items():
-                if not grp.is_zero():
-                    out[key] = grp
+            for key, grp in self._assemble(q).homology().items():
+                if key is None:
+                    raise SignInconsistency(
+                        f"differential not pure (+1,0) on slice q={q}")
+                out[key] = grp
         return out
 
-    def rational_ranks(self, check: bool = True) -> Dict[Tuple[int, int], int]:
-        out: Dict[Tuple[int, int], int] = {}
-        for q in self._q_values():
-            cx = self._slice_complex(q)
-            if check:
-                cx.check_square_zero()
-            for key, r in cx.rational_ranks().items():
-                if r:
-                    out[key] = r
-        return out
+    def rational_ranks(self) -> Dict[Tuple[int, int], int]:
+        """Nonzero free ranks of the integral homology (ranks over Q)."""
+        return {k: g.free_rank for k, g in self.homology().items()
+                if g.free_rank}
 
 
 def assemble(diagram: PlanarDiagram, strict: bool = True,

@@ -22,14 +22,10 @@ from khcube import (
     SignInconsistency,
     UNLINK_UNVERIFIED,
     UnknownCrossingId,
-    braid_closure,
     build_cube,
     edge_parity_admissible,
     grading_shift_on_drop,
-    h_grading,
     msign,
-    q_grading,
-    sigma,
 )
 
 TREFOIL = [(2, 5, 1, 4), (4, 1, 3, 6), (6, 3, 5, 2)]
@@ -111,14 +107,6 @@ class TestVertices:
         assert cube.vertex(()).unlink_status == UNLINK_UNVERIFIED
         assert build_cube(d, trust_pseudo=True).vertex(()).writhe == -3
 
-    def test_parallel_build_matches_serial(self, monkeypatch):
-        d = braid_closure([1, 1, 1, 1, 1, 1, 1])
-        serial = build_cube(d)
-        monkeypatch.setenv("KH_THREADS", "4")
-        parallel = build_cube(d)
-        assert {v: vx.p for v, vx in serial.vertices.items()} == \
-            {v: vx.p for v, vx in parallel.vertices.items()}
-
 
 # -- edges ---------------------------------------------------------------
 
@@ -166,7 +154,7 @@ class TestSigma:
         cube = build_cube(PlanarDiagram.build(TREFOIL))
         assert cube.max_self_intersection() == 0
         assert cube.small_self_intersection()
-        assert sigma(cube, (1, 1, 1), (0, 0, 0)) == 0
+        assert cube.sigma((1, 1, 1), (0, 0, 0)) == 0
 
     def test_three_step_translate(self):
         cube = build_cube(PlanarDiagram.build(TREFOIL))
@@ -212,20 +200,19 @@ class TestGradings:
         cube = build_cube(d)
         n_plus, n_minus = d.n_plus, d.n_minus
         for v in cube.vertices:
-            assert h_grading(cube, v) == -sum(v) + n_minus
+            assert cube.h_offset(v) == -sum(v) + n_minus
             assert cube.q_offset(v) == -sum(v) - n_plus + 2 * n_minus
-            assert q_grading(cube, v, 5) == cube.q_offset(v) + 5
 
     def test_oriented_vertex_sits_at_h_zero(self):
         for code in (TREFOIL, [(4, 2, 5, 1), (8, 6, 1, 5),
                                (6, 3, 7, 4), (2, 7, 3, 8)]):
             cube = build_cube(PlanarDiagram.build(code))
-            assert h_grading(cube, cube.o) == 0
+            assert cube.h_offset(cube.o) == 0
 
     def test_differential_direction_raises_h_by_one(self):
         cube = build_cube(PlanarDiagram.build(TREFOIL))
         for e in cube.edges:
-            assert h_grading(cube, e.target) == h_grading(cube, e.source) + 1
+            assert cube.h_offset(e.target) == cube.h_offset(e.source) + 1
 
     def test_q_periodicity_under_three_step(self):
         cube = build_cube(PlanarDiagram.build(TREFOIL))
@@ -292,15 +279,3 @@ def test_dump_shape():
     assert len(data["vertices"]) == 2
     assert data["edges"][0]["kind"] == NONORIENTABLE_BAND
     assert all(v["unlink_status"] == "verified" for v in data["vertices"])
-
-
-def test_worker_count_env(monkeypatch):
-    from khcube.cube import worker_count
-    monkeypatch.delenv("KH_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("KH_THREADS", "6")
-    assert worker_count() == 6
-    monkeypatch.setenv("KH_THREADS", "junk")
-    assert worker_count() == 1
-    monkeypatch.setenv("KH_THREADS", "-2")
-    assert worker_count() == 1

@@ -234,3 +234,28 @@ class TestStructure:
             if not g.is_zero()
         }
         assert streamed == materialized
+
+
+# -- one verification pass per slice ---------------------------------------
+
+
+@pytest.mark.parametrize("diagram", [
+    PlanarDiagram.build(TREFOIL),
+    # Trefoil word with a cancelling pair left retained: a pseudo-diagram.
+    braid_closure([1, 1, 2, -2, 1]).with_marked([0, 1, 4]),
+], ids=["trefoil", "retained-pair"])
+@pytest.mark.parametrize("method", ["homology", "rational_ranks"])
+def test_square_zero_checked_once_per_slice(monkeypatch, diagram, method):
+    from khcube.chain import BigradedComplex
+
+    kc = assemble(diagram)
+    calls = []
+    check = BigradedComplex.check_square_zero
+
+    def counted(self):
+        calls.append(self)
+        check(self)
+
+    monkeypatch.setattr(BigradedComplex, "check_square_zero", counted)
+    getattr(kc, method)()
+    assert len(calls) == len(kc._q_values())
