@@ -19,8 +19,7 @@ layers:
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from math import gcd
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import NotADifferential

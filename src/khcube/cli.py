@@ -17,7 +17,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import product
+from typing import List, Optional, Sequence
 
 from . import corpus, selftest
 from .cube import build_cube
@@ -212,9 +213,11 @@ def _cmd_verify(args) -> int:
         _emit_json(reidemeister_compare(d, other, reduced=args.reduced))
         return 0
     cube = build_cube(d, strict=False)
-    vertices = [{"v": list(v), "circles": vx.p, "writhe": vx.writhe,
-                 "unlink_status": vx.unlink_status}
-                for v, vx in sorted(cube.vertices.items())]
+    vertices = []
+    for v in product((0, 1), repeat=cube.n_marked):
+        vx = cube.vertex(v)
+        vertices.append({"v": list(v), "circles": vx.p, "writhe": vx.writhe,
+                         "unlink_status": vx.unlink_status})
     _emit_json({
         "genuine": cube.is_genuine(),
         "pseudo_diagram": cube.is_pseudo_diagram(),

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Tuple
 
 from .braids import braid_closure
 from .diagram import PlanarDiagram

@@ -1,11 +1,14 @@
 """The cube of resolutions with self-intersection bookkeeping and gradings.
 
-Vertices are resolution vectors v over the marked crossing set; edges go
+Vertices are resolution vectors v over the marked crossing set, keyed
+by integer mask (bit i is coordinate i of ``diagram.marked_order``);
+each keeps the circle of every arc, not the resolved state.  Edges go
 from v to u = v - e_c (the differential direction: it lowers the vector
-and raises the h-grading).  Each edge carries the kind of its elementary
-cobordism, classified by the circle-count change, and a self-intersection
-number sigma_elem computed as the writhe difference of the two resolved
-unlink states.
+and raises the h-grading); ``build_cube`` checks each once and
+``edges`` derives them on demand.  Each edge carries the kind of its
+elementary cobordism, classified by the circle-count change, and a
+self-intersection number sigma_elem computed as the writhe difference
+of the two resolved unlink states.
 
 Self-intersection numbers between arbitrary comparable vertices come from
 a potential: phi(x) = w(state of r(x)) + (2/3) * sum(x - r(x)) where r
@@ -26,11 +29,11 @@ tables are therefore mirror-paired with the usual ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from itertools import product
+from typing import List, Optional, Sequence, Tuple
 
-from .diagram import (UNLINK_UNVERIFIED, UNLINK_VERIFIED, PlanarDiagram,
-                      ResolvedState)
+from .diagram import UNLINK_VERIFIED, PlanarDiagram
 from .errors import (NotAPseudoDiagram, OutOfDomain, SignInconsistency,
                      UnknownCrossingId)
 
@@ -48,11 +51,11 @@ NONORIENTABLE_BAND = "NonorientableBand"
 
 @dataclass(frozen=True)
 class CubeVertex:
-    v: Tuple[int, ...]
-    state: ResolvedState
     p: int                      # circle count
     writhe: int                 # of the retained-crossing unlink state
     unlink_status: str          # UNLINK_VERIFIED / UNLINK_UNVERIFIED
+    arc_circles: Tuple[int, ...]  # circle of each arc, in diagram.arcs order
+    basepoint_circle: int
 
 
 @dataclass(frozen=True)
@@ -68,18 +71,11 @@ class CubeEdge:
 @dataclass
 class GradedCube:
     diagram: PlanarDiagram
-    vertices: Dict[Tuple[int, ...], CubeVertex]
-    edges: List[CubeEdge]
+    vertices: List[CubeVertex]  # indexed by mask
     n_plus: int
     n_minus: int
     o: Tuple[int, ...]          # oriented resolution of the marked set
     trust_pseudo: bool = False
-    _edge_index: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], CubeEdge] = \
-        field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        if not self._edge_index:
-            self._edge_index = {(e.source, e.target): e for e in self.edges}
 
     # -- basic views ---------------------------------------------------
 
@@ -87,17 +83,67 @@ class GradedCube:
     def n_marked(self) -> int:
         return len(self.o)
 
+    def coords(self, mask: int) -> Tuple[int, ...]:
+        """The resolution vector of a vertex mask."""
+        return tuple((mask >> i) & 1 for i in range(self.n_marked))
+
+    def _mask(self, v: Sequence[int]) -> Optional[int]:
+        """The mask of a 0/1 vector of length |N|, else None."""
+        if len(v) != self.n_marked or any(b not in (0, 1) for b in v):
+            return None
+        return sum(int(b) << i for i, b in enumerate(v))
+
     def vertex(self, v: Sequence[int]) -> CubeVertex:
-        key = tuple(int(b) for b in v)
-        if key not in self.vertices:
-            raise UnknownCrossingId(f"no cube vertex {key}")
-        return self.vertices[key]
+        mask = self._mask(v)
+        if mask is None:
+            raise UnknownCrossingId(
+                f"no cube vertex {tuple(int(b) for b in v)}")
+        return self.vertices[mask]
 
     def edge(self, v: Sequence[int], u: Sequence[int]) -> CubeEdge:
-        key = (tuple(v), tuple(u))
-        if key not in self._edge_index:
-            raise UnknownCrossingId(f"no cube edge {key[0]} -> {key[1]}")
-        return self._edge_index[key]
+        mv, mu = self._mask(v), self._mask(u)
+        flip = None if mv is None or mu is None else mv ^ mu
+        if not flip or flip & (flip - 1) or mu & flip:
+            raise UnknownCrossingId(
+                f"no cube edge {tuple(v)} -> {tuple(u)}")
+        return self._edge(mv, flip.bit_length() - 1)
+
+    @property
+    def edges(self) -> List[CubeEdge]:
+        """Every edge, built on demand, by source mask then coordinate."""
+        n = self.n_marked
+        return [self._edge(v, i) for v in range(1 << n) for i in range(n)
+                if (v >> i) & 1]
+
+    def _edge(self, v: int, i: int) -> CubeEdge:
+        u = v & ~(1 << i)
+        return CubeEdge(self.coords(v), self.coords(u),
+                        self.diagram.marked_order[i], *self._classify(v, u))
+
+    def _classify(self, v: int, u: int) -> Tuple[str, int]:
+        """Kind and sigma_elem of the edge between masks v and u; raise
+        SignInconsistency when they break the edge rules."""
+        pv, pu = self.vertices[v].p, self.vertices[u].p
+        s_elem = self.vertices[v].writhe - self.vertices[u].writhe
+        if pu == pv - 1:
+            kind = MERGE
+        elif pu == pv + 1:
+            kind = SPLIT
+        elif pu == pv:
+            kind = NONORIENTABLE_BAND
+        else:
+            raise SignInconsistency(
+                f"edge {self.coords(v)}->{self.coords(u)} changes circle "
+                f"count by {pu - pv}")
+        if kind != NONORIENTABLE_BAND and s_elem != 0:
+            raise SignInconsistency(
+                f"orientable edge {self.coords(v)}->{self.coords(u)} has "
+                f"writhe defect {s_elem}")
+        if kind == NONORIENTABLE_BAND and s_elem not in (-2, 2):
+            raise SignInconsistency(
+                f"nonorientable edge {self.coords(v)}->{self.coords(u)} has "
+                f"self-intersection {s_elem}, expected +-2")
+        return kind, s_elem
 
     def is_genuine(self) -> bool:
         return not self.diagram.retained
@@ -105,26 +151,26 @@ class GradedCube:
     def is_pseudo_diagram(self) -> bool:
         """Every vertex state verified as an unlink presentation."""
         return all(vx.unlink_status == UNLINK_VERIFIED
-                   for vx in self.vertices.values())
+                   for vx in self.vertices)
 
     # -- self-intersection numbers --------------------------------------
 
-    def _reduce(self, x: Sequence[int]) -> Tuple[Tuple[int, ...], int]:
-        """Return (r(x), sum(x - r(x))); raise OutOfDomain on entries
-        congruent to 2 mod 3 (those leave a crossing retained)."""
+    def _reduce(self, x: Sequence[int]) -> Tuple[int, int]:
+        """Return (mask of r(x), sum(x - r(x))); raise OutOfDomain on
+        entries congruent to 2 mod 3 (those leave a crossing retained)."""
         if len(x) != self.n_marked:
             raise OutOfDomain(
                 f"vector length {len(x)} != |N| = {self.n_marked}")
-        red: List[int] = []
+        mask = 0
         excess = 0
-        for entry in x:
+        for i, entry in enumerate(x):
             m = entry % 3
             if m == 2:
                 raise OutOfDomain(
                     f"entry {entry} is 2 mod 3: not an unlink resolution")
-            red.append(m)
+            mask |= m << i
             excess += entry - m
-        return tuple(red), excess
+        return mask, excess
 
     def sigma(self, v: Sequence[int], u: Sequence[int]) -> int:
         """Self-intersection number between two (extended) vertices."""
@@ -158,23 +204,20 @@ class GradedCube:
     def max_self_intersection(self, pair_budget: int = 2_000_000) -> int:
         """max sigma(v,u) over comparable cube pairs v >= u.
 
-        When every edge has sigma_elem = 0 the telescoped sigma vanishes
-        on all comparable pairs and the answer is 0 without enumeration
-        (the genuine-diagram case).  Otherwise pairs are enumerated,
-        guarded by a budget since the count grows as 3^|N|.
+        When every vertex has the same writhe, every edge has
+        sigma_elem = 0, the telescoped sigma vanishes on all comparable
+        pairs and the answer is 0 without enumeration (the
+        genuine-diagram case).  Otherwise pairs are enumerated, guarded
+        by a budget since the count grows as 3^|N|.
         """
-        if all(e.sigma_elem == 0 for e in self.edges):
+        writhes = [vx.writhe for vx in self.vertices]
+        if len(set(writhes)) == 1:
             return 0
         if 3 ** self.n_marked > pair_budget:
             raise SignInconsistency(
                 "pair enumeration budget exceeded for max_self_intersection")
-        best = 0
-        verts = list(self.vertices)
-        for v in verts:
-            for u in verts:
-                if all(a >= b for a, b in zip(v, u)):
-                    best = max(best, self.sigma(v, u))
-        return best
+        return max(wv - wu for v, wv in enumerate(writhes)
+                   for u, wu in enumerate(writhes) if u & ~v == 0)
 
     def small_self_intersection(self) -> bool:
         """Whether max sigma(v,u) over comparable pairs is at most 6."""
@@ -184,8 +227,8 @@ class GradedCube:
 
     def dump(self) -> dict:
         verts = []
-        for v in sorted(self.vertices):
-            vx = self.vertices[v]
+        for v in product((0, 1), repeat=self.n_marked):
+            vx = self.vertex(v)
             verts.append({
                 "v": list(v),
                 "circles": vx.p,
@@ -202,35 +245,19 @@ class GradedCube:
                 "o": list(self.o), "vertices": verts, "edges": edges}
 
 
-def _classify(pv: int, pu: int, source: Tuple[int, ...],
-              target: Tuple[int, ...]) -> str:
-    if pu == pv - 1:
-        return MERGE
-    if pu == pv + 1:
-        return SPLIT
-    if pu == pv:
-        return NONORIENTABLE_BAND
-    raise SignInconsistency(
-        f"edge {source}->{target} changes circle count by {pu - pv}")
-
-
 def build_cube(diagram: PlanarDiagram, strict: bool = True,
                trust_pseudo: bool = False) -> GradedCube:
-    """Resolve all 2^|N| vertices and classify all edges.
+    """Resolve all 2^|N| vertices and check all edges.
 
     strict: reject any vertex whose unlink validation returns
     Unverified (NotAPseudoDiagram) unless trust_pseudo is set.
     Non-strict (strict=False) behaves like trust_pseudo.
     """
-    order = diagram.marked_order
-    n = len(order)
-    keys = [tuple((mask >> i) & 1 for i in range(n))
-            for mask in range(1 << n)]
-
+    n = len(diagram.marked_order)
     tolerant = trust_pseudo or not strict
-
-    def make_vertex(key: Tuple[int, ...]) -> CubeVertex:
-        state = diagram.resolve(key)
+    vertices: List[CubeVertex] = []
+    for mask in range(1 << n):
+        state = diagram.resolve([(mask >> i) & 1 for i in range(n)])
         status = state.unlink_status()
         if status == UNLINK_VERIFIED or tolerant:
             # A verified state always has a consistent writhe; on trusted
@@ -239,40 +266,25 @@ def build_cube(diagram: PlanarDiagram, strict: bool = True,
             writhe = state.writhe_unlink()
         else:
             writhe = 0  # never observed: the strict gate below raises
-        return CubeVertex(key, state, state.n_circles, writhe, status)
+        vertices.append(CubeVertex(
+            state.n_circles, writhe, status,
+            tuple(map(state.circle_of_arc, diagram.arcs)),
+            state.basepoint_circle))
 
-    vertices = {k: make_vertex(k) for k in keys}
-
+    cube = GradedCube(diagram, vertices, diagram.n_plus, diagram.n_minus,
+                      diagram.oriented_assignment(), trust_pseudo=tolerant)
     if not tolerant:
-        bad = sorted(v for v, vx in vertices.items()
+        bad = sorted(cube.coords(m) for m, vx in enumerate(vertices)
                      if vx.unlink_status != UNLINK_VERIFIED)
         if bad:
             raise NotAPseudoDiagram(
                 f"{len(bad)} vertex states not verified as unlinks, "
                 f"first: {bad[0]}; pass trust_pseudo to proceed")
-
-    edges: List[CubeEdge] = []
-    for v, vx in vertices.items():
+    for v in range(1 << n):
         for i in range(n):
-            if v[i] == 0:
-                continue
-            u = v[:i] + (0,) + v[i + 1:]
-            ux = vertices[u]
-            kind = _classify(vx.p, ux.p, v, u)
-            s_elem = vx.writhe - ux.writhe
-            if kind in (MERGE, SPLIT) and s_elem != 0:
-                raise SignInconsistency(
-                    f"orientable edge {v}->{u} has writhe defect {s_elem}")
-            if kind == NONORIENTABLE_BAND and s_elem not in (-2, 2):
-                raise SignInconsistency(
-                    f"nonorientable edge {v}->{u} has self-intersection "
-                    f"{s_elem}, expected +-2")
-            edges.append(CubeEdge(v, u, order[i], kind, s_elem))
-
-    o = diagram.oriented_assignment()
-    return GradedCube(diagram, vertices, edges,
-                      diagram.n_plus, diagram.n_minus, o,
-                      trust_pseudo=trust_pseudo or not strict)
+            if (v >> i) & 1:
+                cube._classify(v, v & ~(1 << i))
+    return cube
 
 
 def edge_parity_admissible(edge, chi: Optional[int] = None) -> bool:

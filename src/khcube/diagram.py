@@ -360,12 +360,7 @@ class ResolvedState:
         bp = self.diagram.basepoint
         if bp is not None:
             return self._arc_circle[bp]
-        if self.circles:
-            return 0  # circles are sorted by smallest arc
-        return 0  # the first free circle
-
-    def key(self) -> Tuple[FrozenSet[int], ...]:
-        return self.circles
+        return 0  # the smallest arc's circle, else the first free circle
 
     # -- retained-crossing geometry ------------------------------------
 
@@ -417,7 +412,6 @@ class ResolvedState:
             return UNLINK_VERIFIED
         # Build the retained-crossing port graph: strands between
         # retained crossings become single edges.
-        heads = self._heads
         slots = self.diagram._arc_slots
         smooth = dict(zip(self.diagram.marked_order, self.choices))
 
@@ -449,7 +443,6 @@ class ResolvedState:
                 port_edge[(ci, slot)] = eid
                 port_edge[end] = eid
                 edge_ends[eid] = [(ci, slot), end]
-        del heads
 
         crossings_left = set(self.retained)
 
@@ -522,19 +515,12 @@ class ResolvedState:
                     port_edge.pop((ci, slot)), port_edge.pop((cj, sa))
                     port_edge.pop((ci, nxt)), port_edge.pop((cj, sb))
                     edge_ends.pop(ea), edge_ends.pop(eb)
-                    used_i = {slot, nxt}
-                    used_j = {sa, sb}
                     crossings_left.discard(ci)
                     crossings_left.discard(cj)
-                    # Strand through ci between its two free slots, glued to
-                    # the strand through cj between its free slots.
-                    fi = [s for s in range(4) if s not in used_i]
-                    fj = [s for s in range(4) if s not in used_j]
                     # Slot opposite the bigon slot continues into the bigon
                     # span and out the far side: (ci, slot+2) joins (cj, sa+2).
                     splice((ci, (slot + 2) % 4), (cj, (sa + 2) % 4))
                     splice((ci, (nxt + 2) % 4), (cj, (sb + 2) % 4))
-                    del fi, fj
                     done = True
                     break
                 if done:

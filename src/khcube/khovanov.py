@@ -13,12 +13,21 @@ out an orientable contribution).  The differential goes from a vertex to
 its neighbors with one more 0-coordinate and raises (h, q) by exactly
 (1, 0).
 
+Vertices are the cube's integer masks, and per-vertex data are lists
+indexed by mask.  Each edge with a nonzero map is stored once as a flat
+tuple holding the positions of its fused circles (those through the
+crossing's four arcs) at source and target.  Circles are numbered by
+smallest arc with free circles last, so untouched circles keep their
+relative order across an edge: a target label is the source label with
+the fused source bits dropped, zero bits inserted at the fused target
+positions, and those bits set by the merge or split rule.
+
 The reduced variant keeps the subcomplex where the basepoint circle is
 labeled minus; its q-gradings are reported unshifted (a knot's reduced
 table sits in odd q, matching the parity of the unreduced one).
 
 One routine, ``KhovanovComplex._assemble``, numbers the generators and
-applies the edge plans, for the whole complex or for one q-slice.
+applies the edge maps, for the whole complex or for one q-slice.
 ``bigraded_complex`` materializes the whole complex when it is small
 enough to hold in memory, and with ``check`` verifies d^2 = 0 on it.
 ``homology`` and ``rational_ranks`` stream instead: each q-slice is
@@ -29,12 +38,12 @@ SignInconsistency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .chain import BigradedComplex, HomologyGroup
-from .cube import MERGE, NONORIENTABLE_BAND, CubeEdge, GradedCube, build_cube
+from .cube import GradedCube, build_cube
 from .diagram import PlanarDiagram
 from .errors import KhError, SignInconsistency
 from .laurent import LaurentPoly
@@ -45,20 +54,37 @@ __all__ = ["KhovanovComplex", "assemble", "reduced_assemble", "edge_sign",
 _MATERIALIZE_LIMIT = 120_000
 
 
-def edge_sign(source: Sequence[int], position: int) -> int:
-    """Khovanov's predecessor rule: (-1)^(number of 1s before the
-    flipped coordinate), coordinates in marked-crossing input order."""
-    return -1 if sum(source[:position]) % 2 else 1
+def edge_sign(source: int, position: int) -> int:
+    """Khovanov's predecessor rule on a vertex mask: (-1)^(number of 1s
+    below the flipped bit), bits in marked-crossing input order."""
+    return -1 if (source & ((1 << position) - 1)).bit_count() % 2 else 1
 
 
-@dataclass(frozen=True)
-class _EdgePlan:
-    source: Tuple[int, ...]
-    target: Tuple[int, ...]
-    sign: int
-    kind: str
-    untouched: Tuple[Tuple[int, int], ...]   # (source circle, target circle)
-    fused: Tuple[int, ...]                   # merge: (i1,i2,j); split: (i,j1,j2)
+def _drop(label: int, i: int) -> int:
+    """Remove bit i, shifting the higher bits down."""
+    return (label & ((1 << i) - 1)) | ((label >> (i + 1)) << i)
+
+
+def _insert(label: int, j: int) -> int:
+    """Insert a zero bit at position j, shifting the higher bits up."""
+    return (label & ((1 << j) - 1)) | ((label >> j) << (j + 1))
+
+
+def _map_label(label: int, merge: bool, a: int, b: int,
+               c: int) -> Tuple[int, ...]:
+    """Target labels of one source label: merge fuses source circles
+    a < b into target circle c; split takes source circle a to target
+    circles b < c."""
+    if merge:
+        base = _insert(_drop(_drop(label, b), a), c)
+        x, y = (label >> a) & 1, (label >> b) & 1
+        if x and y:
+            return (base | (1 << c),)
+        return (base,) if x or y else ()
+    base = _insert(_insert(_drop(label, a), b), c)
+    if (label >> a) & 1:
+        return (base | (1 << b), base | (1 << c))
+    return (base,)
 
 
 class KhovanovComplex:
@@ -67,113 +93,78 @@ class KhovanovComplex:
     def __init__(self, cube: GradedCube, reduced: bool = False):
         self.cube = cube
         self.reduced = reduced
-        diagram = cube.diagram
-        self.free_circles = diagram.free_circles
-        order = diagram.marked_order
-        self._pos_of_crossing = {c: i for i, c in enumerate(order)}
-
-        keys = sorted(cube.vertices, key=self._mask_of)
-        self._keys = keys
-        self._p: Dict[Tuple[int, ...], int] = {}
-        self._h: Dict[Tuple[int, ...], int] = {}
-        self._qoff: Dict[Tuple[int, ...], int] = {}
-        self._bp: Dict[Tuple[int, ...], int] = {}
-        for k in keys:
-            vx = cube.vertices[k]
-            self._p[k] = vx.p
-            self._h[k] = cube.h_offset(k)
-            self._qoff[k] = cube.q_offset(k)
-            self._bp[k] = vx.state.basepoint_circle if reduced else -1
-
-        self._plans: List[_EdgePlan] = [
-            p for p in (self._plan(e) for e in cube.edges) if p is not None]
+        verts = cube.vertices
+        coords = [cube.coords(v) for v in range(len(verts))]
+        self._p = [vx.p for vx in verts]
+        self._h = [cube.h_offset(x) for x in coords]
+        self._qoff = [cube.q_offset(x) for x in coords]
+        self._bp = [vx.basepoint_circle if reduced else -1 for vx in verts]
+        self._edges = self._edge_maps()
 
     # -- bookkeeping ----------------------------------------------------
 
-    @staticmethod
-    def _mask_of(key: Tuple[int, ...]) -> int:
-        m = 0
-        for i, b in enumerate(key):
-            m |= b << i
-        return m
+    def _edge_maps(self) -> List[Tuple[int, ...]]:
+        """(source, target, sign, merge, a, b, c) for every edge whose map
+        is nonzero, in (mask, coordinate) order; a, b, c as in
+        _map_label."""
+        cube = self.cube
+        diagram = cube.diagram
+        arc_pos = {arc: k for k, arc in enumerate(diagram.arcs)}
+        ends = [tuple(arc_pos[arc] for arc in diagram.crossings[c])
+                for c in diagram.marked_order]
+        maps: List[Tuple[int, ...]] = []
+        verts = cube.vertices
+        for v, vx in enumerate(verts):
+            for i, quad in enumerate(ends):
+                if not (v >> i) & 1:
+                    continue
+                u = v & ~(1 << i)
+                ux = verts[u]
+                if ux.p == vx.p:
+                    continue  # band edge: zero map, certified by parity
+                merge = ux.p < vx.p
+                src = sorted({vx.arc_circles[k] for k in quad})
+                tgt = sorted({ux.arc_circles[k] for k in quad})
+                if (len(src), len(tgt)) != ((2, 1) if merge else (1, 2)):
+                    raise SignInconsistency(
+                        f"{'merge' if merge else 'split'} edge "
+                        f"{cube.coords(v)}->{cube.coords(u)} touches "
+                        f"{len(src)} source / {len(tgt)} target circles")
+                maps.append((v, u, edge_sign(v, i), merge, *src, *tgt))
+        return maps
 
-    def _plan(self, edge: CubeEdge) -> Optional[_EdgePlan]:
-        if edge.kind == NONORIENTABLE_BAND:
-            return None  # zero map, certified by the parity argument
-        sv = self.cube.vertices[edge.source].state
-        su = self.cube.vertices[edge.target].state
-        vc, uc = sv.circles, su.circles
-        index_u = {fs: j for j, fs in enumerate(uc)}
-        untouched: List[Tuple[int, int]] = []
-        vin: List[int] = []
-        taken = set()
-        for i, fs in enumerate(vc):
-            j = index_u.get(fs)
-            if j is None:
-                vin.append(i)
-            else:
-                untouched.append((i, j))
-                taken.add(j)
-        uin = [j for j in range(len(uc)) if j not in taken]
-        for t in range(self.free_circles):
-            untouched.append((len(vc) + t, len(uc) + t))
-        pos = self._pos_of_crossing[edge.crossing]
-        sign = edge_sign(edge.source, pos)
-        if edge.kind == MERGE:
-            if len(vin) != 2 or len(uin) != 1:
-                raise SignInconsistency(
-                    f"merge edge {edge.source}->{edge.target} touches "
-                    f"{len(vin)} source / {len(uin)} target circles")
-            fused = (vin[0], vin[1], uin[0])
-        else:
-            if len(vin) != 1 or len(uin) != 2:
-                raise SignInconsistency(
-                    f"split edge {edge.source}->{edge.target} touches "
-                    f"{len(vin)} source / {len(uin)} target circles")
-            fused = (vin[0], uin[0], uin[1])
-        return _EdgePlan(edge.source, edge.target, sign, edge.kind,
-                         tuple(untouched), fused)
-
-    def _popcounts(self, key: Tuple[int, ...],
-                   q: Optional[int] = None) -> Sequence[int]:
+    def _popcounts(self, v: int, q: Optional[int] = None) -> Sequence[int]:
         """Label popcounts at a vertex: all of them, or the one (if any)
         that puts its generators in q-grading q."""
-        p, qoff = self._p[key], self._qoff[key]
+        p, qoff = self._p[v], self._qoff[v]
         n_free = p - 1 if self.reduced else p
         if q is None:
             return range(n_free + 1)
         pc, odd = divmod(q - qoff + p, 2)
         return (pc,) if not odd and 0 <= pc <= n_free else ()
 
-    def _vertex_masks(self, key: Tuple[int, ...],
-                      popcount: int) -> Iterable[int]:
+    def _vertex_masks(self, v: int, popcount: int) -> Iterable[int]:
         """Label bitmasks of a given popcount at a vertex (basepoint bit
         forced 0 if reduced)."""
-        positions = [i for i in range(self._p[key]) if i != self._bp[key]]
+        positions = [i for i in range(self._p[v]) if i != self._bp[v]]
         for chosen in combinations(positions, popcount):
             m = 0
             for i in chosen:
                 m |= 1 << i
             yield m
 
-    def generator_count(self, key: Tuple[int, ...]) -> int:
-        p = self._p[key]
-        return 1 << (p - 1 if self.reduced else p)
-
     @property
     def total_generators(self) -> int:
-        return sum(self.generator_count(k) for k in self._keys)
+        return sum(1 << (p - 1 if self.reduced else p) for p in self._p)
 
     def graded_ranks(self) -> Dict[Tuple[int, int], int]:
         """Chain-group dimensions per (h, q)."""
         out: Dict[Tuple[int, int], int] = {}
-        for k in self._keys:
-            h, qoff, p = self._h[k], self._qoff[k], self._p[k]
+        for h, qoff, p in zip(self._h, self._qoff, self._p):
             n_free = p - 1 if self.reduced else p
             for pc in range(n_free + 1):
                 q = qoff + 2 * pc - p
-                count = _binom(n_free, pc)
-                out[(h, q)] = out.get((h, q), 0) + count
+                out[(h, q)] = out.get((h, q), 0) + comb(n_free, pc)
         return out
 
     def euler_poly(self) -> LaurentPoly:
@@ -183,27 +174,6 @@ class KhovanovComplex:
             acc[q] = acc.get(q, 0) + (dim if h % 2 == 0 else -dim)
         return LaurentPoly(acc)
 
-    # -- edge application -------------------------------------------------
-
-    def _apply_plan(self, plan: _EdgePlan, mask: int) -> List[Tuple[int, int]]:
-        """Map one source generator; returns (target mask, coefficient)."""
-        base = 0
-        for i, j in plan.untouched:
-            if (mask >> i) & 1:
-                base |= 1 << j
-        if plan.kind == MERGE:
-            i1, i2, j = plan.fused
-            b1, b2 = (mask >> i1) & 1, (mask >> i2) & 1
-            if b1 and b2:
-                return [(base | (1 << j), plan.sign)]
-            if b1 or b2:
-                return [(base, plan.sign)]
-            return []
-        i, j1, j2 = plan.fused
-        if (mask >> i) & 1:
-            return [(base | (1 << j1), plan.sign), (base | (1 << j2), plan.sign)]
-        return [(base, plan.sign)]
-
     # -- assembly -----------------------------------------------------------
 
     def _assemble(self, q: Optional[int] = None) -> BigradedComplex:
@@ -211,31 +181,32 @@ class KhovanovComplex:
 
         Generators are numbered vertex by vertex in mask order, then by
         label popcount, then by combination order; entries follow the
-        edge plans in cube order.  sandbox_perturb draws its seeded
-        entries in this order, so it is part of the output contract.
+        edges in (mask, coordinate) order.  sandbox_perturb draws its
+        seeded entries in this order, so it is part of the output
+        contract.
         """
-        ids: Dict[Tuple[Tuple[int, ...], int], int] = {}
+        ids: Dict[Tuple[int, int], int] = {}
         gradings: List[Tuple[int, int]] = []
-        pcs: Dict[Tuple[int, ...], Sequence[int]] = {}
-        for k in self._keys:
-            pcs[k] = self._popcounts(k, q)
-            for pc in pcs[k]:
-                grading = (self._h[k], self._qoff[k] + 2 * pc - self._p[k])
-                for mask in self._vertex_masks(k, pc):
-                    ids[(k, mask)] = len(gradings)
+        pcs = [self._popcounts(v, q) for v in range(len(self._p))]
+        for v, vertex_pcs in enumerate(pcs):
+            for pc in vertex_pcs:
+                grading = (self._h[v], self._qoff[v] + 2 * pc - self._p[v])
+                for label in self._vertex_masks(v, pc):
+                    ids[(v, label)] = len(gradings)
                     gradings.append(grading)
         entries: List[Tuple[int, int, int]] = []
-        for plan in self._plans:
-            for pc in pcs[plan.source]:
-                for mask in self._vertex_masks(plan.source, pc):
-                    src = ids[(plan.source, mask)]
-                    for tgt_mask, coef in self._apply_plan(plan, mask):
-                        tgt = ids.get((plan.target, tgt_mask))
+        for v, u, sign, merge, a, b, c in self._edges:
+            for pc in pcs[v]:
+                for label in self._vertex_masks(v, pc):
+                    src = ids[(v, label)]
+                    for tgt_label in _map_label(label, merge, a, b, c):
+                        tgt = ids.get((u, tgt_label))
                         if tgt is None:
                             raise SignInconsistency(
                                 "edge map left its q-slice: "
-                                f"{plan.source}->{plan.target}")
-                        entries.append((src, tgt, coef))
+                                f"{self.cube.coords(v)}->"
+                                f"{self.cube.coords(u)}")
+                        entries.append((src, tgt, sign))
         return BigradedComplex(gradings, entries)
 
     def bigraded_complex(self, check: bool = True,
@@ -253,8 +224,9 @@ class KhovanovComplex:
     # -- streaming homology -------------------------------------------------
 
     def _q_values(self) -> List[int]:
-        return sorted({self._qoff[k] + 2 * pc - self._p[k]
-                       for k in self._keys for pc in self._popcounts(k)})
+        return sorted({self._qoff[v] + 2 * pc - self._p[v]
+                       for v in range(len(self._p))
+                       for pc in self._popcounts(v)})
 
     def homology(self) -> Dict[Tuple[int, int], HomologyGroup]:
         """Integral homology per (h, q), streamed by q-slice.
@@ -302,15 +274,6 @@ def reduced_assemble(diagram: PlanarDiagram, basepoint: Optional[int] = None,
     if cube is None:
         cube = build_cube(diagram, strict=strict, trust_pseudo=trust_pseudo)
     return KhovanovComplex(cube, reduced=True)
-
-
-def _binom(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 def _homology_table(diagram: PlanarDiagram, reduced: bool):

@@ -13,18 +13,18 @@ it validates.
 
 from __future__ import annotations
 
+import itertools
 import random
 import sys
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import corpus
 from .chain import BigradedComplex, SparseIntMatrix, rank_over_q
 from .cube import NONORIENTABLE_BAND, build_cube
 from .diagram import PlanarDiagram
 from .errors import KhError
-from .filtration import (FilteredComplex, op_order, sandbox_perturb,
-                         spectral_sequence)
+from .filtration import FilteredComplex, sandbox_perturb, spectral_sequence
 from .invariants import (alexander, differential_feasibility, mod4_betti,
                          rank_lower_bound)
 from .khovanov import assemble, reduced_assemble
@@ -332,7 +332,7 @@ def _grading_instances(random_count: int, seed: int = 7021
 
 
 def _check_grading_lemmas(diagram: PlanarDiagram, cube) -> None:
-    verts = sorted(cube.vertices)
+    verts = list(itertools.product((0, 1), repeat=cube.n_marked))
 
     def ge(a, b):
         return all(x >= y for x, y in zip(a, b))
@@ -357,7 +357,7 @@ def _check_grading_lemmas(diagram: PlanarDiagram, cube) -> None:
             assert acc == s, f"telescoping fails along {v}->{u}"
 
     b0 = len(diagram.components) + diagram.free_circles
-    parities = {(cube.vertices[v].p + cube.q_offset(v)) % 2 for v in verts}
+    parities = {(cube.vertex(v).p + cube.q_offset(v)) % 2 for v in verts}
     assert parities <= {b0 % 2}, \
         f"q parity {parities} vs component count {b0}"
 
@@ -417,8 +417,7 @@ def check_08_ss_conservation() -> str:
     t0 = time.perf_counter()
     runs = 0
     for name in _corpus_small():
-        kc = assemble(corpus.get(name))
-        bc = kc.bigraded_complex(check=False)
+        bc = assemble(corpus.get(name)).bigraded_complex()
         kh_q = {k: v for k, v in bc.rational_ranks().items() if v}
 
         pages_h = spectral_sequence(FilteredComplex(bc, (1, 0)))
@@ -437,7 +436,7 @@ def check_08_ss_conservation() -> str:
         assert e1.total_rank == _rank_h_over_q(bc)
 
         for seed in range(50):
-            pert = sandbox_perturb(kc, seed=seed)
+            pert = sandbox_perturb(bc, seed=seed)
             pages = spectral_sequence(pert.filtered((1, 0)))
             _conservation(pages)
             assert pages[-1].total_rank == _rank_h_over_q(pert.complex())
@@ -455,9 +454,9 @@ def check_08_ss_conservation() -> str:
 def check_09_order_contracts() -> str:
     checked = 0
     for name in _corpus_small():
-        kc = assemble(corpus.get(name))
+        bc = assemble(corpus.get(name)).bigraded_complex()
         for seed in range(50):
-            pert = sandbox_perturb(kc, seed=seed)
+            pert = sandbox_perturb(bc, seed=seed)
             order = pert.order()
             assert order >= (1, 0), f"{name} seed {seed}: order {order}"
             diff_order = pert.difference_order()
