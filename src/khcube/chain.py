@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from math import gcd
+from typing import (Dict, Iterable, List, Mapping, Optional, Sequence, Set,
+                    Tuple)
 
 from .errors import NotADifferential
 
@@ -285,41 +287,54 @@ def smith_normal_form(matrix: SparseIntMatrix,
 
 
 def rank_over_q(matrix: SparseIntMatrix) -> int:
-    """Exact rank over the rationals via fraction-free elimination."""
-    rows: List[Dict[int, int]] = []
-    for (i, j), v in sorted(matrix.entries.items()):
-        while len(rows) <= i:
-            rows.append({})
-        rows[i][j] = v
-    rows = [r for r in rows if r]
+    """Exact rank over the rationals via fraction-free elimination.
+
+    Rows are integer dicts, and a column index maps each column to the
+    rows holding it.  Columns are eliminated in ascending order; the
+    pivot row of a column is its shortest holder (smallest |entry| next),
+    found from the index alone.  Only the rows holding the pivot column
+    change: each becomes ``r * pv - rv * prow`` (with ``gcd(pv, rv)``
+    divided out) and is then divided by the gcd of its entries, so
+    entries stay small with no division by earlier pivots.
+    """
+    rows: Dict[int, Dict[int, int]] = {}
+    cols: Dict[int, Set[int]] = {}
+    for (i, j), v in matrix.entries.items():
+        rows.setdefault(i, {})[j] = v
+        cols.setdefault(j, set()).add(i)
     rank = 0
-    prev_pivot = 1
-    while rows:
-        # Smallest-magnitude pivot keeps the Bareiss numerators tame.
-        bi = min(range(len(rows)),
-                 key=lambda k: (min(abs(v) for v in rows[k].values()),
-                                len(rows[k])))
-        prow = rows.pop(bi)
-        pj = min(prow, key=lambda j: (abs(prow[j]), j))
-        pv = prow[pj]
+    for j in sorted(cols):
+        holders = cols[j]
+        if not holders:
+            continue
         rank += 1
-        nxt: List[Dict[int, int]] = []
-        for r in rows:
-            rv = r.get(pj)
-            if rv is None:
-                nr = {j: (v * pv) // prev_pivot for j, v in r.items()}
-            else:
-                nr = {}
-                for j in set(r) | set(prow):
-                    if j == pj:
-                        continue
-                    num = r.get(j, 0) * pv - rv * prow.get(j, 0)
-                    if num:
-                        nr[j] = num // prev_pivot
-            if nr:
-                nxt.append(nr)
-        rows = nxt
-        prev_pivot = pv
+        pi = min(holders,
+                 key=lambda i: (len(rows[i]), abs(rows[i][j]), i))
+        prow = rows.pop(pi)
+        for k in prow:
+            cols[k].discard(pi)
+        pv = prow.pop(j)
+        for i in holders:
+            r = rows[i]
+            rv = r.pop(j)
+            g = gcd(pv, rv)
+            a, b = pv // g, rv // g
+            if a != 1:
+                for k in r:
+                    r[k] *= a
+            for k, v in prow.items():
+                w = r.get(k, 0) - b * v
+                if w:
+                    if k not in r:
+                        cols[k].add(i)
+                    r[k] = w
+                elif k in r:
+                    del r[k]
+                    cols[k].discard(i)
+            g = gcd(*r.values())
+            if g > 1:
+                for k in r:
+                    r[k] //= g
     return rank
 
 

@@ -135,11 +135,11 @@ class PlanarDiagram:
     def n_crossings(self) -> int:
         return len(self.crossings)
 
-    @property
+    @cached_property
     def retained(self) -> Tuple[int, ...]:
         return tuple(i for i in range(self.n_crossings) if i not in self.marked)
 
-    @property
+    @cached_property
     def marked_order(self) -> Tuple[int, ...]:
         """Marked crossings in input order; cube coordinates use this order."""
         return tuple(i for i in range(self.n_crossings) if i in self.marked)

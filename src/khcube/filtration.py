@@ -15,7 +15,13 @@ are kernels of integer submatrices of the differential, and every page
 dimension and differential rank is a finite combination of their
 dimensions.  Each page also carries a complementary grading (q for the
 h-side filtrations, h for the pure-q filtration) induced by the second
-coordinate filtration on the subquotients.
+coordinate filtration on the subquotients.  The terminal page is checked
+against the associated graded of H(C), whose boundary part is a rank
+of d with the rows below the level cut off:
+
+    dim(im d n F^p) = rank d - rank(d on rows of degree < p),
+
+one ``rank_over_q`` call per attained filtration degree.
 
 ``sandbox_perturb`` manufactures perturbed differentials that respect
 the same order contracts as the Khovanov differential: conjugation
@@ -307,13 +313,13 @@ class _PageEngine:
         B = fc.complex
         self.n = B.n_generators
         self.out = B.out
-        self.pdeg = fc.degrees
+        pdeg = fc.degrees
         self.cdeg = fc.complementary_degrees
-        self.P: List[int] = sorted(set(self.pdeg))
+        self.P: List[int] = sorted(set(pdeg))
         self.Cl: List[int] = sorted(set(self.cdeg))
         self.m = len(self.P)
         plevel_of = {p: i for i, p in enumerate(self.P)}
-        self.plevel = [plevel_of[p] for p in self.pdeg] if self.n else []
+        self.plevel = [plevel_of[p] for p in pdeg] if self.n else []
         # Columns for kernel runs are processed by complementary degree
         # descending, so kernel tags count dimensions of Z n G^c.
         self.cols_cdesc: List[int] = sorted(
@@ -329,11 +335,10 @@ class _PageEngine:
 
     # -- level arithmetic ------------------------------------------------
 
-    def colkey(self, p: int) -> int:
+    def level(self, p: int) -> int:
+        """Index of the first attained degree >= p: F^p is spanned by
+        the generators of level >= level(p)."""
         return bisect_left(self.P, p)
-
-    def rowkey(self, threshold: int) -> int:
-        return bisect_left(self.P, threshold)
 
     # -- kernels -----------------------------------------------------------
 
@@ -361,11 +366,11 @@ class _PageEngine:
         return got
 
     def z(self, r: int, p: int) -> int:
-        return len(self.kern(self.colkey(p), self.rowkey(p + r))[1])
+        return len(self.kern(self.level(p), self.level(p + r))[1])
 
     def z_at_c(self, r: int, p: int, c: int) -> int:
         """dim (Z_r^p n G^c): kernel tags with complementary degree >= c."""
-        tags, _ = self.kern(self.colkey(p), self.rowkey(p + r))
+        tags, _ = self.kern(self.level(p), self.level(p + r))
         return sum(1 for t in tags if t >= c)
 
     # -- boundary spans ----------------------------------------------------
@@ -387,8 +392,8 @@ class _PageEngine:
     def boundary_tags(self, r: int, p: int) -> List[int]:
         """Pivot complementary degrees for a span of the page denominator
         Z_{r-1}^{p+1} + d Z_{r-1}^{p-r+1}."""
-        key = (self.colkey(p + 1), self.rowkey(p + r),
-               self.colkey(p - r + 1), self.rowkey(p))
+        key = (self.level(p + 1), self.level(p + r),
+               self.level(p - r + 1), self.level(p))
         got = self._span.get(key)
         if got is not None:
             return got
@@ -401,13 +406,9 @@ class _PageEngine:
             img = self._apply_d(vec)
             if img:
                 ech.add({self.cpos[g]: v for g, v in img.items()})
-        got = sorted(self.pos_c[k] for k in self.pivots_of(ech))
+        got = sorted(self.pos_c[k] for k in ech.pivots)
         self._span[key] = got
         return got
-
-    @staticmethod
-    def pivots_of(ech: _Echelon) -> List[int]:
-        return list(ech.pivots.keys())
 
     # -- page assembly -------------------------------------------------------
 
@@ -418,7 +419,7 @@ class _PageEngine:
             dim = (self.z(r, p) - self.z(r - 1, p + 1)
                    + self.z(r, p - r + 1) - self.z(r - 1, p - r + 1))
             if dim:
-                tags, _ = self.kern(self.colkey(p), self.rowkey(p + r))
+                tags, _ = self.kern(self.level(p), self.level(p + r))
                 btags = self.boundary_tags(r, p)
                 levels = self.Cl + [None]
                 total = 0
@@ -454,29 +455,33 @@ class _PageEngine:
 
     def homology_filtration_dims(self) -> Dict[int, int]:
         """dim gr_p H(C) computed directly from kernel/image ranks,
-        independently of the page ladder."""
-        n = self.n
-        ent = {}
-        for s, row in self.out.items():
-            for t, c in row.items():
-                ent[(t, s)] = c
-        dmat = SparseIntMatrix(n, n, ent)
-        rank_d = rank_over_q(dmat)
+        independently of the page ladder.
 
-        def image_meet_dim(p: int) -> int:
-            # dim(im d n F^p) = rank d + dim F^p - dim(im d + F^p)
-            cols = [g for g in range(n) if self.pdeg[g] >= p]
-            stacked = dict(ent)
-            for k, g in enumerate(cols):
-                stacked[(g, n + k)] = 1
-            return rank_d + len(cols) - rank_over_q(
-                SparseIntMatrix(n, n + len(cols), stacked))
+        dim gr_p H = dim(ker d n F^p) - dim(im d n F^p), minus the same
+        at p + 1.  A boundary lies in F^p exactly when its coordinates of
+        degree < p vanish, so
 
+            dim(im d n F^p) = rank d - rank(d on rows of degree < p).
+
+        By level index k = level(p), k = 0 gives rank d and k = m gives
+        0, so each level costs at most one ``rank_over_q`` call: m calls
+        in all.
+        """
+        if not self.m:
+            return {}
+        d = _matrix_of(self.fc.complex)
+        rank_d = rank_over_q(d)
+        meet = [rank_d]
+        for k in range(1, self.m):
+            below = {(t, s): c for (t, s), c in d.entries.items()
+                     if self.plevel[t] < k}
+            meet.append(rank_d - rank_over_q(
+                SparseIntMatrix(self.n, self.n, below)))
+        meet.append(0)
         out: Dict[int, int] = {}
-        for p in self.P:
-            kp = len(self.kern(self.colkey(p), self.m)[1])
-            kp1 = len(self.kern(self.colkey(p + 1), self.m)[1])
-            dim = (kp - image_meet_dim(p)) - (kp1 - image_meet_dim(p + 1))
+        for k, p in enumerate(self.P):
+            dim = ((len(self.kern(k, self.m)[1]) - meet[k])
+                   - (len(self.kern(k + 1, self.m)[1]) - meet[k + 1]))
             if dim:
                 out[p] = dim
         return out
@@ -489,8 +494,9 @@ def spectral_sequence(fc: FilteredComplex) -> List[SpectralPage]:
     max(h-spread, ceil(q-spread / 2), 1) consecutive pages *and* the
     page index has passed the filtration spread, past which no further
     differential can fit inside the grading range.  The terminal page is
-    checked against the associated graded of H(C), computed separately
-    from kernel/image ranks.
+    checked, level by level, against the associated graded of H(C),
+    computed separately from kernel dimensions and from
+    dim(im d n F^p) = rank d - rank(d on rows of degree < p).
     """
     engine = _PageEngine(fc)
     B = fc.complex

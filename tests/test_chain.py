@@ -94,6 +94,25 @@ _dense_matrices = st.integers(0, 4).flatmap(
             min_size=nr, max_size=nr)))
 
 
+@st.composite
+def _sparse_matrices(draw):
+    """Sparse rectangular matrices up to 10 x 12, entries in -6..6.
+
+    About half the entries are zero.  Up to three rows are then replaced
+    by a zero row or by a copy or negation of another row."""
+    nr = draw(st.integers(0, 10))
+    nc = draw(st.integers(0 if nr == 0 else 1, 12))
+    entry = st.just(0) | st.integers(-6, 6)
+    rows = draw(st.lists(st.lists(entry, min_size=nc, max_size=nc),
+                         min_size=nr, max_size=nr))
+    if nr:
+        for dst, src, sign in draw(st.lists(
+                st.tuples(st.integers(0, nr - 1), st.integers(-1, nr - 1),
+                          st.sampled_from((1, -1))), max_size=3)):
+            rows[dst] = ([0] * nc if src < 0
+                         else [sign * v for v in rows[src]])
+    return rows
+
 # -- SparseIntMatrix ---------------------------------------------------
 
 
@@ -175,6 +194,13 @@ class TestSmithNormalForm:
         m = SparseIntMatrix.from_dense(dense)
         assert rank_over_q(m) == smith_normal_form(m).rank
         assert rank_over_q(m) == _dense_rank_fraction(dense)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_sparse_matrices())
+    def test_rank_over_q_agrees_on_sparse_rectangles(self, dense):
+        m = SparseIntMatrix.from_dense(dense)
+        assert (rank_over_q(m) == smith_normal_form(m).rank
+                == _dense_rank_fraction(dense))
 
     def test_known_small_case(self):
         # diag(2, 6) has divisors (2, 6); the gcd/lcm pair survives a

@@ -1,6 +1,7 @@
 """Filtrations, spectral sequences, and the perturbed-differential sandbox."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -16,7 +17,9 @@ from khcube import (
     PlanarDiagram,
     SparseIntMatrix,
     assemble,
+    braid_closure,
     cobordism_order,
+    corpus,
     op_order,
     q_order_bound,
     sandbox_perturb,
@@ -135,6 +138,100 @@ class TestSpectralSequence:
         data = page.to_json_dict()
         assert data["r"] == 0
         assert sum(g["rank"] for g in data["groups"]) == page.total_rank
+
+
+# -- the terminal-page check ---------------------------------------------------
+
+
+def _fraction_rank(rows):
+    """Rank over Q of dense integer rows, by elimination over Fractions."""
+    rows = [[Fraction(v) for v in r] for r in rows if any(r)]
+    ncols = len(rows[0]) if rows else 0
+    rank = 0
+    for col in range(ncols):
+        at = next((i for i, r in enumerate(rows) if r[col]), None)
+        if at is None:
+            continue
+        prow = rows.pop(at)
+        rank += 1
+        for r in rows:
+            if r[col]:
+                f = r[col] / prow[col]
+                for k in range(col, ncols):
+                    r[k] -= f * prow[k]
+    return rank
+
+
+def _graded_homology_oracle(fc):
+    """dim gr_p H(C) from dense ranks, with the image part taken as
+
+        dim(im d n F^p) = rank d + dim F^p - rank [d | I_{F^p}].
+    """
+    n = fc.complex.n_generators
+    deg = fc.degrees
+    d = [[0] * n for _ in range(n)]
+    for s, row in fc.complex.out.items():
+        for t, c in row.items():
+            d[t][s] = c
+    rank_d = _fraction_rank(d)
+
+    def cycles_in(p):
+        cols = [g for g in range(n) if deg[g] >= p]
+        return len(cols) - _fraction_rank(
+            [[d[t][g] for g in cols] for t in range(n)])
+
+    def boundaries_in(p):
+        cols = [g for g in range(n) if deg[g] >= p]
+        stacked = [d[t] + [int(t == g) for g in cols] for t in range(n)]
+        return rank_d + len(cols) - _fraction_rank(stacked)
+
+    out = {}
+    for p in sorted(set(deg)):
+        dim = ((cycles_in(p) - boundaries_in(p))
+               - (cycles_in(p + 1) - boundaries_in(p + 1)))
+        if dim:
+            out[p] = dim
+    return out
+
+
+@pytest.mark.parametrize("perturb", [None, 2, 11, 29])
+@pytest.mark.parametrize("weight", [(1, 0), (0, 1), (2, 1)])
+@pytest.mark.parametrize("name", ["unknot", "hopf", "trefoil", "figure8",
+                                  "clasp-minus", "clasp-plus", "T(2,3)"])
+def test_terminal_check_matches_dense_oracle(name, weight, perturb):
+    kc = assemble(braid_closure([1, 1, 1]) if name == "T(2,3)"
+                  else corpus.get(name))
+    if perturb is None:
+        fc = FilteredComplex(kc.bigraded_complex(), weight)
+    else:
+        fc = sandbox_perturb(kc, seed=perturb).filtered(weight)
+    assert (filtration_module._PageEngine(fc).homology_filtration_dims()
+            == _graded_homology_oracle(fc))
+
+
+def test_terminal_check_fires_on_a_wrong_rank(monkeypatch):
+    rank = filtration_module.rank_over_q
+    monkeypatch.setattr(filtration_module, "rank_over_q",
+                        lambda m: rank(m) + 1)
+    with pytest.raises(KhError, match="terminal page does not match"):
+        spectral_sequence(FilteredComplex(_trefoil_complex(), (1, 0)))
+
+
+@pytest.mark.parametrize("weight", [(1, 0), (0, 1)])
+@pytest.mark.parametrize("name", ["trefoil", "figure8"])
+def test_terminal_check_one_rank_per_level(monkeypatch, name, weight):
+    fc = FilteredComplex(assemble(corpus.get(name)).bigraded_complex(),
+                         weight)
+    calls = []
+    rank = filtration_module.rank_over_q
+
+    def counted(m):
+        calls.append(m)
+        return rank(m)
+
+    monkeypatch.setattr(filtration_module, "rank_over_q", counted)
+    spectral_sequence(fc)
+    assert 0 < len(calls) <= len(filtration_module._PageEngine(fc).P)
 
 
 # -- sandbox -------------------------------------------------------------------
