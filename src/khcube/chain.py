@@ -7,18 +7,20 @@ layers:
 * ``smith_normal_form`` is a self-contained textbook SNF with
   smallest-pivot selection and a Markowitz-style sparsity tiebreak.
 * ``BigradedComplex.homology`` first verifies d^2 = 0, the one place
-  the homology path does so, then shrinks the complex by cancelling
-  unit (+-1) differential entries - an exact homotopy equivalence over
-  the integers - and only then runs SNF on the small remainder.  The
-  unreduced path (``reduce=False``) exists so tests can cross-check the
-  two routes against each other.  A complex whose differential is not
-  of bidegree (1, 0) is one differential group under the key None;
-  callers that need purity check for that key.
+  the homology path does so, accumulating d^2 one source row at a
+  time.  It then shrinks the complex by cancelling unit (+-1)
+  differential entries - an exact homotopy equivalence over the
+  integers - in ordered sweeps (h descending, then id; each unit row
+  cancels against its unit target with the fewest sources), and only
+  then runs SNF on the small remainder.  The unreduced path
+  (``reduce=False``) exists so tests can cross-check the two routes
+  against each other.  A complex whose differential is not of bidegree
+  (1, 0) is one differential group under the key None; callers that
+  need purity check for that key.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from math import gcd
 from typing import (Dict, Iterable, List, Mapping, Optional, Sequence, Set,
@@ -437,22 +439,33 @@ class BigradedComplex:
         return degs <= {bidegree}
 
     def check_square_zero(self) -> None:
-        acc: Dict[Tuple[int, int], int] = {}
-        for src, row in self.out.items():
+        """Raise ``NotADifferential`` unless d(d(x)) = 0 for every x.
+
+        d^2 is accumulated one source row at a time into a small
+        {target: sum} dict, so memory stays at one row's fan-out; the
+        error names the first nonzero entry in row order and the total
+        count of nonzero entries.
+        """
+        out = self.out
+        first = None
+        bad = 0
+        for src, row in out.items():
+            acc: Dict[int, int] = {}
+            get = acc.get
             for mid, c1 in row.items():
-                second = self.out.get(mid)
-                if not second:
-                    continue
-                for tgt, c2 in second.items():
-                    key = (src, tgt)
-                    acc[key] = acc.get(key, 0) + c1 * c2
-        bad = {k: v for k, v in acc.items() if v}
-        if bad:
-            src, tgt = next(iter(bad))
+                for tgt, c2 in out.get(mid, {}).items():
+                    acc[tgt] = get(tgt, 0) + c1 * c2
+            for tgt, v in acc.items():
+                if v:
+                    bad += 1
+                    if first is None:
+                        first = (src, tgt, v)
+        if first is not None:
+            src, tgt, v = first
             raise NotADifferential(
-                f"d^2 != 0: entry {bad[(src, tgt)]} from generator {src} "
+                f"d^2 != 0: entry {v} from generator {src} "
                 f"(grading {self.gradings[src]}) to {tgt} "
-                f"(grading {self.gradings[tgt]}); {len(bad)} bad entries total")
+                f"(grading {self.gradings[tgt]}); {bad} bad entries total")
 
     # -- reduction ----------------------------------------------------
 
@@ -461,85 +474,68 @@ class BigradedComplex:
 
         This is the exact Gaussian-elimination homotopy equivalence: each
         step removes a pair (x, y) with d(x) = u*y + rest, |u| = 1, and
-        corrects every other source mapping to y.
+        sets d'(w) = d(w) - c_w*u*rest for every other source w with
+        d(w) = c_w*y + ...
 
-        Pivots are chosen greedily by Markowitz fill-in cost
-        (#other targets of x) * (#other sources of y), with lazily
-        revalidated heap entries, so the zero-cost cascades coming from
-        single-entry rows and columns run first and fill-in stays low.
+        Pivots come from an ordered sweep: each pass visits the
+        generators with a nonempty row by h descending, then id, and
+        cancels each one still holding a unit against its unit target
+        with the fewest sources.  Passes repeat until one cancels
+        nothing.
         """
         out: Dict[int, Dict[int, int]] = {
             s: dict(r) for s, r in self.out.items()}
-        inn: Dict[int, Dict[int, int]] = {}
+        inn: Dict[int, Set[int]] = {}
         for s, row in out.items():
-            for t, c in row.items():
-                inn.setdefault(t, {})[s] = c
+            for t in row:
+                inn.setdefault(t, set()).add(s)
         alive = set(range(self.n_generators))
+        gradings = self.gradings
 
-        def cost(x: int, y: int) -> int:
-            return (len(out.get(x, ())) - 1) * (len(inn.get(y, ())) - 1)
-
-        heap = [(cost(s, t), s, t) for s, row in out.items()
-                for t, c in row.items() if c in (1, -1)]
-        heapq.heapify(heap)
-        while heap:
-            est, x, y = heapq.heappop(heap)
-            if x not in alive or y not in alive:
-                continue
-            u = out.get(x, {}).get(y, 0)
-            if u not in (1, -1):
-                continue
-            actual = cost(x, y)
-            if actual > est:
-                heapq.heappush(heap, (actual, x, y))
-                continue
-            rest = [(t, c) for t, c in out[x].items() if t != y]
-            sources = [(s, c) for s, c in inn.get(y, {}).items() if s != x]
-            # Remove x and y with all their incident entries.
-            for t, c in out.pop(x, {}).items():
-                inn_t = inn.get(t)
-                if inn_t:
-                    inn_t.pop(x, None)
-            for s, c in inn.pop(y, {}).items():
-                row = out.get(s)
-                if row:
-                    row.pop(y, None)
-                    if not row:
-                        out.pop(s, None)
-            for t, c in out.pop(y, {}).items():
-                inn_t = inn.get(t)
-                if inn_t:
-                    inn_t.pop(y, None)
-            for s, c in inn.pop(x, {}).items():
-                row = out.get(s)
-                if row:
-                    row.pop(x, None)
-                    if not row:
-                        out.pop(s, None)
-            alive.discard(x)
-            alive.discard(y)
-            # d'(w) = d(w) - (c_w / u) * rest
-            for w, cw in sources:
-                if w not in alive:
-                    continue
-                factor = cw * u  # u^{-1} == u for units
-                row = out.setdefault(w, {})
-                for t, ct in rest:
-                    if t not in alive:
-                        continue
-                    nv = row.get(t, 0) - factor * ct
-                    if nv:
-                        row[t] = nv
-                        inn.setdefault(t, {})[w] = nv
-                        if nv in (1, -1):
-                            heapq.heappush(heap, (cost(w, t), w, t))
-                    else:
-                        row.pop(t, None)
-                        tin = inn.get(t)
-                        if tin:
-                            tin.pop(w, None)
+        def drop(g: int) -> None:
+            # Remove generator g with its row and its column.
+            for t in out.pop(g, ()):
+                inn[t].discard(g)
+            for s in inn.pop(g, ()):
+                row = out[s]
+                del row[g]
                 if not row:
-                    out.pop(w, None)
+                    del out[s]
+            alive.discard(g)
+
+        cancelled = True
+        while cancelled:
+            cancelled = False
+            for x in sorted(out, key=lambda g: (-gradings[g][0], g)):
+                row = out.get(x)
+                if not row:
+                    continue
+                y = min((t for t, c in row.items() if c == 1 or c == -1),
+                        key=lambda t: len(inn[t]), default=None)
+                if y is None:
+                    continue
+                u = row[y]
+                rest = [(t, c) for t, c in row.items() if t != x and t != y]
+                sources = [(w, out[w][y]) for w in inn[y]
+                           if w != x and w != y]
+                drop(x)
+                drop(y)
+                cancelled = True
+                # d'(w) = d(w) - (c_w / u) * rest, and u^{-1} == u
+                for w, cw in sources:
+                    factor = cw * u
+                    row = out.setdefault(w, {})
+                    for t, ct in rest:
+                        nv = row.get(t, 0) - factor * ct
+                        if nv:
+                            if t not in row:
+                                inn[t].add(w)
+                            row[t] = nv
+                        elif t in row:
+                            del row[t]
+                            inn[t].discard(w)
+                    if not row:
+                        del out[w]
         return out, sorted(alive)
 
     # -- homology -----------------------------------------------------

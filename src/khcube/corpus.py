@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from .braids import braid_closure
 from .diagram import PlanarDiagram
@@ -94,13 +94,39 @@ def parse_pd_text(text: str) -> PlanarDiagram:
     return PlanarDiagram.build(crossings)
 
 
+def _is_int(v: object) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_int_list(v: object, length: Optional[int] = None) -> bool:
+    return (isinstance(v, list) and all(_is_int(x) for x in v)
+            and (length is None or len(v) == length))
+
+
+# Field -> (type check, what it must be); None stands for the default.
+_JSON_FIELDS: Dict[str, Tuple[Callable[[object], bool], str]] = {
+    "pd": (lambda v: isinstance(v, list)
+           and all(_is_int_list(x, 4) for x in v),
+           "a list of 4-integer lists"),
+    "braid": (_is_int_list, "a list of integers"),
+    "strands": (lambda v: v is None or _is_int(v), "an integer"),
+    "marked": (lambda v: v is None or _is_int_list(v),
+               "a list of integers"),
+    "free_circles": (_is_int, "an integer"),
+    "basepoint": (lambda v: v is None or _is_int(v), "an integer arc label"),
+}
+
+
 def _from_json(obj: dict) -> PlanarDiagram:
     if not isinstance(obj, dict):
         raise MalformedPD(f"diagram JSON must be an object, got {type(obj)}")
-    known = {"pd", "braid", "strands", "marked", "free_circles", "basepoint"}
-    extra = set(obj) - known
+    extra = set(obj) - set(_JSON_FIELDS)
     if extra:
         raise MalformedPD(f"unknown diagram JSON fields: {sorted(extra)}")
+    for key, value in obj.items():
+        ok, want = _JSON_FIELDS[key]
+        if not ok(value):
+            raise MalformedPD(f"diagram JSON field {key!r} must be {want}")
     has_pd = "pd" in obj
     has_braid = "braid" in obj
     if has_pd == has_braid:

@@ -40,8 +40,7 @@ from .errors import (NotAPseudoDiagram, OutOfDomain, SignInconsistency,
 __all__ = [
     "MERGE", "SPLIT", "NONORIENTABLE_BAND",
     "CubeVertex", "CubeEdge", "GradedCube",
-    "build_cube", "edge_parity_admissible", "msign", "grading_shift_on_drop",
-    "DropShift",
+    "build_cube", "edge_parity_admissible",
 ]
 
 MERGE = "Merge"
@@ -302,36 +301,3 @@ def edge_parity_admissible(edge, chi: Optional[int] = None) -> bool:
     if s % 2:
         raise SignInconsistency(f"odd self-intersection number {s}")
     return (s // 2 + c) % 2 != 0
-
-
-def msign(v: Sequence[int], u: Sequence[int]) -> int:
-    """Instanton-convention gluing sign between comparable vertices.
-
-    (-1) ** (k(k-1)/2 + sum of v(c) over the crossings where v and u
-    differ), with k the number of differing crossings.  Utility for
-    sandbox experiments; the Khovanov differential uses the standard
-    predecessor-count rule instead.
-    """
-    diff = [i for i, (a, b) in enumerate(zip(v, u)) if a != b]
-    if any(v[i] < u[i] for i in diff):
-        raise SignInconsistency("msign requires v >= u")
-    k = len(diff)
-    exponent = (k * (k - 1)) // 2 + sum(v[i] for i in diff)
-    return -1 if exponent % 2 else 1
-
-
-@dataclass(frozen=True)
-class DropShift:
-    """Grading bookkeeping for resolving one marked crossing permanently."""
-    delta_h: int
-    delta_q: int
-    sigma_shift: int
-
-
-def grading_shift_on_drop(crossing_sign: int) -> DropShift:
-    """Shift of (h, q) when a marked crossing is dropped from the cube
-    by fixing its resolution: always (-1, 0), with the sign-dependent
-    self-intersection shift 1 + sign recorded for audit."""
-    if crossing_sign not in (1, -1):
-        raise SignInconsistency(f"crossing sign must be +-1, got {crossing_sign}")
-    return DropShift(-1, 0, 1 + crossing_sign)

@@ -8,8 +8,8 @@ Frobenius-algebra merge and split:
     split:  +  -> +- and -+,    -  -> --
 
 with identity on untouched circles, the predecessor-count edge sign, and
-the zero map on nonorientable band edges (their parity certificate rules
-out an orientable contribution).  The differential goes from a vertex to
+the zero map on nonorientable band edges (``build_cube`` has checked
+that each one has writhe defect +-2).  The differential goes from a vertex to
 its neighbors with one more 0-coordinate and raises (h, q) by exactly
 (1, 0).
 
@@ -121,7 +121,9 @@ class KhovanovComplex:
                 u = v & ~(1 << i)
                 ux = verts[u]
                 if ux.p == vx.p:
-                    continue  # band edge: zero map, certified by parity
+                    # Band edge: zero map.  GradedCube._classify has
+                    # required writhe defect +-2 on it.
+                    continue
                 merge = ux.p < vx.p
                 src = sorted({vx.arc_circles[k] for k in quad})
                 tgt = sorted({ux.arc_circles[k] for k in quad})

@@ -19,6 +19,7 @@ from khcube import (
     NotADifferential,
     SparseIntMatrix,
     assemble,
+    braid_closure,
     corpus,
     rank_over_q,
     smith_normal_form,
@@ -306,13 +307,165 @@ class TestBigradedComplex:
         assert c.rational_ranks() == {}
 
 
+    def test_square_zero_message_matches_dense_product(self):
+        # d^2 broken on purpose: generator 0 has one bad target, generator
+        # 1 has three.  Gradings (h, q) = (level, 0).
+        levels = [0, 0, 1, 1, 1, 2, 2, 2]
+        entries = [(0, 2, 1), (0, 3, -1),
+                   (1, 2, 2), (1, 4, 1),
+                   (2, 5, 1), (2, 6, 3),
+                   (3, 5, 1), (3, 6, 3), (3, 7, 1),
+                   (4, 5, -1), (4, 7, 2)]
+        n = len(levels)
+        dense = [[0] * n for _ in range(n)]
+        for s, t, v in entries:
+            dense[s][t] = v
+        square = [[sum(dense[s][m] * dense[m][t] for m in range(n))
+                   for t in range(n)] for s in range(n)]
+        bad = [(s, t, square[s][t]) for s in range(n) for t in range(n)
+               if square[s][t]]
+        src, tgt, value = bad[0]
+        # The first bad row has a single bad entry, so its position does
+        # not depend on the order targets are met in; another row has
+        # several.
+        assert [b for b in bad if b[0] == src] == [bad[0]]
+        assert max(sum(b[0] == s for b in bad) for s in range(n)) > 1
+        c = BigradedComplex([(h, 0) for h in levels], entries)
+        expected = (f"d^2 != 0: entry {value} from generator {src} "
+                    f"(grading ({levels[src]}, 0)) to {tgt} "
+                    f"(grading ({levels[tgt]}, 0)); "
+                    f"{len(bad)} bad entries total")
+        with pytest.raises(NotADifferential) as exc:
+            c.check_square_zero()
+        assert str(exc.value) == expected
+
+
+def _invariant_factors(orders):
+    """Divisor chain of the direct sum of Z/k over the given orders."""
+    powers = {}
+    for k in orders:
+        p = 2
+        while k > 1:
+            if k % p == 0:
+                q = 1
+                while k % p == 0:
+                    k //= p
+                    q *= p
+                powers.setdefault(p, []).append(q)
+            p += 1
+    chain = []
+    for i in range(max((len(v) for v in powers.values()), default=0)):
+        f = 1
+        for v in powers.values():
+            v = sorted(v, reverse=True)
+            if i < len(v):
+                f *= v[i]
+        chain.append(f)
+    return tuple(sorted(chain))
+
+
+_PIECES = st.lists(
+    st.tuples(st.sampled_from(["unit", "torsion", "free"]),
+              st.integers(0, 2), st.sampled_from([0, 2]),
+              st.sampled_from([1, -1]), st.integers(2, 12)),
+    min_size=1, max_size=20)
+
+
+@st.composite
+def _conjugated_sums(draw):
+    """A direct sum of Z --(+-1)--> Z, Z --k--> Z (k >= 2) and Z pieces,
+    conjugated in every bigrading by a random unimodular matrix.
+
+    Returns (gradings, entries, expected homology as {(h, q):
+    (free_rank, torsion chain)})."""
+    pieces = draw(_PIECES)
+    gens = []          # (h, q) per generator
+    diff = {}          # (src, tgt) -> coefficient
+    free, torsion = {}, {}
+    for kind, h, q, u, k in pieces:
+        gens.append((h, q))
+        if kind == "free":
+            free[(h, q)] = free.get((h, q), 0) + 1
+            continue
+        gens.append((h + 1, q))
+        diff[(len(gens) - 2, len(gens) - 1)] = u if kind == "unit" else k
+        if kind == "torsion":
+            torsion.setdefault((h + 1, q), []).append(k)
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    # Per bigrading, a unimodular M and its inverse from elementary row
+    # operations; the new basis vector i is sum_j M[i][j] * old_j.
+    blocks = {}
+    for g, key in enumerate(gens):
+        blocks.setdefault(key, []).append(g)
+    mats = {}
+    for key, members in blocks.items():
+        m = len(members)
+        M = [[int(i == j) for j in range(m)] for i in range(m)]
+        Minv = [row[:] for row in M]
+        for _ in range(rng.randint(0, 3 * m) if m > 1 else 0):
+            i, j = rng.sample(range(m), 2)
+            c = rng.choice([-2, -1, 1, 2])
+            # row_i += c * row_j on M; col_j -= c * col_i on M^-1.
+            M[i] = [a + c * b for a, b in zip(M[i], M[j])]
+            for row in Minv:
+                row[j] -= c * row[i]
+        if rng.random() < 0.5:
+            M[0] = [-a for a in M[0]]
+            for row in Minv:
+                row[0] = -row[0]
+        mats[key] = (members, M, Minv)
+    # d(new_i) = sum_j M[i][j] d(old_j); rewrite each old target t in
+    # the new basis as old_t = sum_l Minv[t][l] new_l.
+    entries = {}
+    for key, (members, M, _) in mats.items():
+        for i, new_src in enumerate(members):
+            for j, old_src in enumerate(members):
+                if not M[i][j]:
+                    continue
+                for (s, t), v in diff.items():
+                    if s != old_src:
+                        continue
+                    tmembers, _, tinv = mats[gens[t]]
+                    row = tinv[tmembers.index(t)]
+                    for lpos, new_t in enumerate(tmembers):
+                        w = M[i][j] * v * row[lpos]
+                        if w:
+                            entries[(new_src, new_t)] = \
+                                entries.get((new_src, new_t), 0) + w
+    expected = {}
+    for key in set(free) | set(torsion):
+        grp = (free.get(key, 0), _invariant_factors(torsion.get(key, [])))
+        if grp != (0, ()):
+            expected[key] = grp
+    # Shuffle generator ids so they do not follow the pieces.
+    perm = list(range(len(gens)))
+    rng.shuffle(perm)
+    gradings = [None] * len(gens)
+    for old, new in enumerate(perm):
+        gradings[new] = gens[old]
+    triples = [(perm[s], perm[t], v) for (s, t), v in entries.items() if v]
+    return gradings, triples, expected
+
+
 class TestReduction:
     """Unit cancellation must never change homology."""
 
-    @pytest.mark.parametrize("name", ["trefoil", "figure8", "hopf"])
+    @pytest.mark.parametrize("name", [
+        "trefoil", "figure8", "hopf", "clasp-minus", "clasp-plus",
+        "pseudo-11-2-2-1"])
     def test_reduced_equals_unreduced_on_real_complexes(self, name):
-        c = assemble(corpus.get(name)).bigraded_complex(check=True)
+        diagram = (braid_closure([1, 1, 2, -2, 1]).with_marked([0, 1, 4])
+                   if name == "pseudo-11-2-2-1" else corpus.get(name))
+        c = assemble(diagram).bigraded_complex(check=True)
         assert _flat(c.homology(reduce=True)) == _flat(c.homology(reduce=False))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_conjugated_sums())
+    def test_conjugated_direct_sums_match_known_homology(self, case):
+        gradings, entries, expected = case
+        c = BigradedComplex(gradings, entries)
+        assert _flat(c.homology(reduce=True)) == expected
+        assert _flat(c.homology(reduce=False)) == expected
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000))

@@ -379,6 +379,29 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith(("input error", "error"))
 
+    @pytest.mark.parametrize("text", [
+        '{"pd": 5}',
+        '{"pd": [[1,2]]}',
+        '{"pd": "X(1,2,3,4)"}',
+        '{"pd": [[1,2,3,"a"],[1,4,3,2]]}',
+        '{"pd": [[1.5,2,3,4],[1,4,3,2]]}',
+        '{"pd": [[1,2,3,4],[1,4,3,2]], "marked": 5}',
+        '{"pd": [[1,2,3,4],[1,4,3,2]], "marked": ["x"]}',
+        '{"pd": [[1,2,3,4],[1,4,3,2]], "free_circles": "a"}',
+        '{"pd": [[1,2,3,4],[1,4,3,2]], "free_circles": 1.5}',
+        '{"pd": [[1,2,3,4],[1,4,3,2]], "basepoint": [1]}',
+        '{"braid": 5}',
+        '{"braid": [1], "strands": "x"}',
+    ])
+    def test_malformed_json_exits_1_without_traceback(self, text):
+        proc = subprocess.run(
+            [sys.executable, "-m", "khcube.cli", "homology", text],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("input error: MalformedPD")
+        assert "Traceback" not in proc.stderr
+
     def test_usage_error_exit_1(self):
         code, _, err = run_cli("homology", "trefoil", "--coeffs", "zz")
         assert code == 1

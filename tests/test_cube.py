@@ -24,8 +24,6 @@ from khcube import (
     UnknownCrossingId,
     build_cube,
     edge_parity_admissible,
-    grading_shift_on_drop,
-    msign,
 )
 
 TREFOIL = [(2, 5, 1, 4), (4, 1, 3, 6), (6, 3, 5, 2)]
@@ -221,14 +219,6 @@ class TestGradings:
             assert cube.q_offset(w) == cube.q_offset(v)
             assert cube.h_offset(w) == cube.h_offset(v) - 2
 
-    def test_drop_shift(self):
-        assert grading_shift_on_drop(1).delta_h == -1
-        assert grading_shift_on_drop(1).delta_q == 0
-        assert grading_shift_on_drop(1).sigma_shift == 2
-        assert grading_shift_on_drop(-1).sigma_shift == 0
-        with pytest.raises(SignInconsistency):
-            grading_shift_on_drop(0)
-
 
 # -- parity and signs -------------------------------------------------------
 
@@ -256,16 +246,6 @@ class TestParityAndSigns:
     def test_odd_sigma_rejected(self):
         with pytest.raises(SignInconsistency):
             edge_parity_admissible(1, chi=-1)
-
-    def test_msign_values(self):
-        assert msign((1,), (0,)) == -1          # exponent 0 + 1
-        assert msign((1, 1), (0, 0)) == -1      # exponent 1 + 2
-        assert msign((1, 0), (0, 0)) == -1
-        assert msign((1, 1, 1), (0, 0, 0)) == 1  # exponent 3 + 3
-
-    def test_msign_requires_descent(self):
-        with pytest.raises(SignInconsistency):
-            msign((0, 1), (1, 0))
 
 
 # -- serialization -----------------------------------------------------------
