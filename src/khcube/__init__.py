@@ -12,7 +12,7 @@ from .braids import braid_closure
 from .chain import (BigradedComplex, HomologyGroup, SNFResult,
                     SparseIntMatrix, rank_over_q, smith_normal_form)
 from .cube import (MERGE, NONORIENTABLE_BAND, SPLIT, CubeEdge, CubeVertex,
-                   GradedCube, build_cube, edge_parity_admissible)
+                   GradedCube, build_cube)
 from .diagram import (UNLINK_UNVERIFIED, UNLINK_VERIFIED, Crossing,
                       PlanarDiagram, ResolvedState, diagram_from_json,
                       parse_pd)
@@ -42,7 +42,7 @@ __all__ = [
     "UNLINK_UNVERIFIED",
     # cube
     "GradedCube", "CubeVertex", "CubeEdge", "build_cube",
-    "edge_parity_admissible", "MERGE", "SPLIT", "NONORIENTABLE_BAND",
+    "MERGE", "SPLIT", "NONORIENTABLE_BAND",
     # chain algebra
     "SparseIntMatrix", "SNFResult", "smith_normal_form", "rank_over_q",
     "HomologyGroup", "BigradedComplex", "LaurentPoly",

@@ -20,10 +20,10 @@ from __future__ import annotations
 import json
 import os
 import re
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from .braids import braid_closure
-from .diagram import PlanarDiagram
+from .diagram import PlanarDiagram, _is_int, _is_int_list
 from .errors import MalformedPD
 
 __all__ = ["names", "get", "reidemeister_pairs", "parse_pd_text",
@@ -92,15 +92,6 @@ def parse_pd_text(text: str) -> PlanarDiagram:
     if not crossings:
         raise MalformedPD("no X(a,b,c,d) tokens found")
     return PlanarDiagram.build(crossings)
-
-
-def _is_int(v: object) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_int_list(v: object, length: Optional[int] = None) -> bool:
-    return (isinstance(v, list) and all(_is_int(x) for x in v)
-            and (length is None or len(v) == length))
 
 
 # Field -> (type check, what it must be); None stands for the default.

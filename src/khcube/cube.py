@@ -40,7 +40,7 @@ from .errors import (NotAPseudoDiagram, OutOfDomain, SignInconsistency,
 __all__ = [
     "MERGE", "SPLIT", "NONORIENTABLE_BAND",
     "CubeVertex", "CubeEdge", "GradedCube",
-    "build_cube", "edge_parity_admissible",
+    "build_cube",
 ]
 
 MERGE = "Merge"
@@ -284,20 +284,3 @@ def build_cube(diagram: PlanarDiagram, strict: bool = True,
             if (v >> i) & 1:
                 cube._classify(v, v & ~(1 << i))
     return cube
-
-
-def edge_parity_admissible(edge, chi: Optional[int] = None) -> bool:
-    """True iff sigma/2 + chi is odd; False certifies a zero map.
-
-    Accepts a CubeEdge, or a raw sigma with an explicit chi (the Euler
-    characteristic is -1 per elementary saddle in a composite).
-    """
-    if isinstance(edge, CubeEdge):
-        s, c = edge.sigma_elem, edge.chi
-    else:
-        if chi is None:
-            raise TypeError("raw sigma needs an explicit chi")
-        s, c = int(edge), int(chi)
-    if s % 2:
-        raise SignInconsistency(f"odd self-intersection number {s}")
-    return (s // 2 + c) % 2 != 0

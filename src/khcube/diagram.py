@@ -562,22 +562,40 @@ def parse_pd(text: str, marked: Optional[Sequence[int]] = None,
                                free_circles, basepoint)
 
 
+def _is_int(v: object) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_int_list(v: object, length: Optional[int] = None) -> bool:
+    return (isinstance(v, list) and all(_is_int(x) for x in v)
+            and (length is None or len(v) == length))
+
+
 def diagram_from_json(data) -> PlanarDiagram:
     """Build a diagram from the documented JSON schema.
 
     {"crossings": [[a,b,c,d], ...], "n": [ids], "basepoint": arc,
      "circles": k} -- "n" defaults to all crossings, "circles" to 0.
+    Fields of the wrong type raise ``MalformedPD``.
     """
     if isinstance(data, str):
-        data = json.loads(data)
+        try:
+            data = json.loads(data)
+        except ValueError as exc:
+            raise MalformedPD(f"JSON diagram does not parse: {exc}") from None
     if not isinstance(data, dict) or "crossings" not in data:
         raise MalformedPD("JSON diagram needs a 'crossings' field")
     crossings = data["crossings"]
     if not isinstance(crossings, list) or \
-            any(not isinstance(x, (list, tuple)) or len(x) != 4 for x in crossings):
-        raise MalformedPD("'crossings' must be a list of 4-tuples")
-    return PlanarDiagram.build(
-        crossings,
-        data.get("n"),
-        int(data.get("circles", 0)),
-        data.get("basepoint"))
+            not all(_is_int_list(x, 4) for x in crossings):
+        raise MalformedPD("'crossings' must be a list of 4-integer lists")
+    marked = data.get("n")
+    if marked is not None and not _is_int_list(marked):
+        raise MalformedPD("'n' must be a list of integers")
+    circles = data.get("circles", 0)
+    if not _is_int(circles):
+        raise MalformedPD("'circles' must be an integer")
+    basepoint = data.get("basepoint")
+    if basepoint is not None and not _is_int(basepoint):
+        raise MalformedPD("'basepoint' must be an integer")
+    return PlanarDiagram.build(crossings, marked, circles, basepoint)

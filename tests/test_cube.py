@@ -23,7 +23,6 @@ from khcube import (
     UNLINK_UNVERIFIED,
     UnknownCrossingId,
     build_cube,
-    edge_parity_admissible,
 )
 
 TREFOIL = [(2, 5, 1, 4), (4, 1, 3, 6), (6, 3, 5, 2)]
@@ -218,34 +217,6 @@ class TestGradings:
             w = (v[0] + 3,) + v[1:]
             assert cube.q_offset(w) == cube.q_offset(v)
             assert cube.h_offset(w) == cube.h_offset(v) - 2
-
-
-# -- parity and signs -------------------------------------------------------
-
-
-class TestParityAndSigns:
-    def test_single_saddle_is_admissible(self):
-        cube = build_cube(PlanarDiagram.build(TREFOIL))
-        assert all(edge_parity_admissible(e) for e in cube.edges)
-
-    def test_band_edges_are_inadmissible(self):
-        for code, marked in (CLASP_PLUS, CLASP_MINUS):
-            cube = build_cube(PlanarDiagram.build(code, marked=marked))
-            assert not edge_parity_admissible(cube.edges[0])
-
-    def test_raw_composites(self):
-        # Two saddles with no self-intersection defect: parity zero.
-        assert not edge_parity_admissible(0, chi=-2)
-        assert edge_parity_admissible(2, chi=-2)
-        assert edge_parity_admissible(0, chi=-1)
-
-    def test_raw_sigma_needs_chi(self):
-        with pytest.raises(TypeError):
-            edge_parity_admissible(0)
-
-    def test_odd_sigma_rejected(self):
-        with pytest.raises(SignInconsistency):
-            edge_parity_admissible(1, chi=-1)
 
 
 # -- serialization -----------------------------------------------------------

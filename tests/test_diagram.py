@@ -117,6 +117,16 @@ class TestParsing:
         with pytest.raises(MalformedPD):
             diagram_from_json({"crossings": [[1, 2, 3]]})
 
+    @pytest.mark.parametrize("data", [
+        {"crossings": [[1, 2, 3, 4], [1, 4, 3, 2]], "n": 5},
+        {"crossings": [[1, 2, 3, 4], [1, 4, 3, 2]], "circles": "a"},
+        {"crossings": [[1, 2, 3, "x"], [1, 4, 3, 2]]},
+        '{"crossings": [[1, 2, 3, 4]',
+    ], ids=["n", "circles", "crossing", "text"])
+    def test_json_field_types_checked(self, data):
+        with pytest.raises(MalformedPD):
+            diagram_from_json(data)
+
 
 # -- orientation and signs ----------------------------------------------
 

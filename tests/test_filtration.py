@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import khcube.filtration as filtration_module
+import ss_ladder
 from khcube import (
     BigradedComplex,
     FilteredComplex,
@@ -22,6 +23,7 @@ from khcube import (
     corpus,
     op_order,
     q_order_bound,
+    reduced_assemble,
     sandbox_perturb,
     spectral_sequence,
 )
@@ -85,6 +87,16 @@ class TestFilteredComplex:
             FilteredComplex(c, (0, 1))
         FilteredComplex(c, (1, 0))  # h-filtration is fine
 
+    def test_differential_must_raise_the_pair(self):
+        # Weight (0, 1) leaves p unchanged on both entries; the first keeps
+        # the complementary degree h and the second lowers it.
+        c = BigradedComplex([(0, 0), (0, 0)], [(0, 1, 1)])
+        with pytest.raises(NotFiltered):
+            FilteredComplex(c, (0, 1))
+        c = BigradedComplex([(0, 0), (-1, 0)], [(0, 1, 1)])
+        with pytest.raises(NotFiltered):
+            FilteredComplex(c, (0, 1))
+
     def test_levels_and_complementary(self):
         c = BigradedComplex([(0, 1), (2, -1), (1, 1)])
         fc = FilteredComplex(c, (1, 0))
@@ -138,6 +150,35 @@ class TestSpectralSequence:
         data = page.to_json_dict()
         assert data["r"] == 0
         assert sum(g["rank"] for g in data["groups"]) == page.total_rank
+
+
+# -- the page-ladder oracle ----------------------------------------------------
+
+
+def _assert_pages_match(kc, perturbs):
+    for perturb in perturbs:
+        for weight in ((1, 0), (0, 1), (2, 1), (1, 1)):
+            if perturb is None:
+                fc = FilteredComplex(kc.bigraded_complex(), weight)
+            else:
+                fc = sandbox_perturb(kc, seed=perturb).filtered(weight)
+            assert (spectral_sequence(fc)
+                    == ss_ladder.spectral_sequence(fc)), (perturb, weight)
+
+
+@pytest.mark.parametrize("name", ["unknot", "hopf", "trefoil", "figure8",
+                                  "clasp-minus", "clasp-plus", "pseudo",
+                                  "T(2,5)"])
+def test_pages_match_ladder_oracle(name):
+    """Every page agrees with the Z_r^p ladder: r, groups with the
+    complementary split, and d_ranks."""
+    if name == "T(2,5)":
+        _assert_pages_match(assemble(braid_closure([1] * 5)), [None])
+        return
+    diagram = (braid_closure([1, 1, 2, -2, 1]).with_marked([0, 1, 4])
+               if name == "pseudo" else corpus.get(name))
+    for kc in (assemble(diagram), reduced_assemble(diagram)):
+        _assert_pages_match(kc, [None, 2, 11, 29])
 
 
 # -- the terminal-page check ---------------------------------------------------
@@ -205,7 +246,8 @@ def test_terminal_check_matches_dense_oracle(name, weight, perturb):
         fc = FilteredComplex(kc.bigraded_complex(), weight)
     else:
         fc = sandbox_perturb(kc, seed=perturb).filtered(weight)
-    assert (filtration_module._PageEngine(fc).homology_filtration_dims()
+    _pairs, cycles = filtration_module._reduce(fc)
+    assert (filtration_module._graded_homology(fc, cycles)
             == _graded_homology_oracle(fc))
 
 
@@ -231,7 +273,7 @@ def test_terminal_check_one_rank_per_level(monkeypatch, name, weight):
 
     monkeypatch.setattr(filtration_module, "rank_over_q", counted)
     spectral_sequence(fc)
-    assert 0 < len(calls) <= len(filtration_module._PageEngine(fc).P)
+    assert 0 < len(calls) <= len(fc.levels)
 
 
 # -- sandbox -------------------------------------------------------------------
