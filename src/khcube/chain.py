@@ -389,16 +389,31 @@ class BigradedComplex:
     """A finitely generated complex of free Z-modules with (h, q) gradings.
 
     generators: sequence of (h, q) pairs, indexed by position.
-    entries: iterable of (src, tgt, coeff) triples defining d(src).
+    entries: iterable of (src, tgt, coeff) triples defining d(src), summed
+        per (src, tgt); or a row map {src: {tgt: coeff}} of nonzero
+        coefficients, which becomes ``out`` itself, without a copy.
     """
+
+    # Set by the owner of a complex that no caller holds (a streamed
+    # q-slice): homology() then cancels in ``out`` itself, not a copy.
+    _disposable = False
 
     def __init__(self,
                  gradings: Sequence[Tuple[int, int]],
-                 entries: Iterable[Tuple[int, int, int]] = ()):
+                 entries: Iterable[Tuple[int, int, int]]
+                 | Dict[int, Dict[int, int]] = ()):
         self.gradings: Tuple[Tuple[int, int], ...] = tuple(
             (int(h), int(q)) for h, q in gradings)
         n = len(self.gradings)
-        self.out: Dict[int, Dict[int, int]] = {}
+        if isinstance(entries, dict):
+            ids = set(entries).union(*entries.values())
+            if ids and not (min(ids) >= 0 and max(ids) < n):
+                raise ValueError("differential entry outside generator range")
+            if not all(map(all, map(dict.values, entries.values()))):
+                raise ValueError("zero coefficient in a row map")
+            self.out: Dict[int, Dict[int, int]] = entries
+            return
+        self.out = {}
         for src, tgt, coeff in entries:
             if not (0 <= src < n and 0 <= tgt < n):
                 raise ValueError("differential entry outside generator range")
@@ -483,7 +498,7 @@ class BigradedComplex:
         with the fewest sources.  Passes repeat until one cancels
         nothing.
         """
-        out: Dict[int, Dict[int, int]] = {
+        out = self.out if self._disposable else {
             s: dict(r) for s, r in self.out.items()}
         inn: Dict[int, Set[int]] = {}
         for s, row in out.items():
@@ -552,8 +567,7 @@ class BigradedComplex:
         if reduce:
             out, alive = self._cancel_units()
         else:
-            out, alive = {s: dict(r) for s, r in self.out.items()}, \
-                list(range(self.n_generators))
+            out, alive = self.out, range(self.n_generators)
 
         by_slice: Dict[Optional[Tuple[int, int]], List[int]] = {}
         if self.is_homogeneous((1, 0)):

@@ -39,11 +39,12 @@ _BUILDERS: Dict[str, Callable[[], PlanarDiagram]] = {
     "hopf": lambda: braid_closure([1, 1]),
     "t45": lambda: braid_closure([1, 2, 3] * 5),
     # One undetermined crossing (index 0) over a clasp: a 2-vertex cube
-    # whose only edge is a nonorientable band.
+    # whose only edge is a nonorientable band.  clasp-minus mirrors the
+    # retained crossing (its tuple starts one slot later).
     "clasp-plus": lambda: PlanarDiagram.build(
         [(1, 2, 3, 4), (1, 4, 3, 2)], marked=[0]),
     "clasp-minus": lambda: PlanarDiagram.build(
-        [(1, 2, 3, 4), (1, 2, 3, 4)], marked=[0]),
+        [(1, 2, 3, 4), (2, 1, 4, 3)], marked=[0]),
 }
 
 

@@ -30,6 +30,7 @@ tables are therefore mirror-paired with the usual ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import List, Optional, Sequence, Tuple
 
@@ -182,23 +183,34 @@ class GradedCube:
                 f"mod-3 excess {extra3} not divisible by 3")
         return base + 2 * (extra3 // 3)
 
-    def _sigma_to_o(self, v: Sequence[int]) -> int:
-        s = self.sigma(v, self.o)
-        if s % 2:
-            raise SignInconsistency(
-                f"odd self-intersection number {s} at {tuple(v)}")
-        return s
-
     # -- gradings --------------------------------------------------------
 
+    @cached_property
+    def _writhe_o(self) -> int:
+        return self.vertices[self._mask(self.o)].writhe
+
+    def grading_offsets(self, mask: int) -> Tuple[int, int]:
+        """(h, q - Q) of the summand at a vertex mask, by the module's
+        grading formulas; sigma(v,o) is the writhe difference of the two
+        states."""
+        s = self.vertices[mask].writhe - self._writhe_o
+        if s % 2:
+            raise SignInconsistency(
+                f"odd self-intersection number {s} at {self.coords(mask)}")
+        pop = mask.bit_count()
+        return (-pop + s // 2 + self.n_minus,
+                -pop + 3 * (s // 2) - self.n_plus + 2 * self.n_minus)
+
     def h_offset(self, v: Sequence[int]) -> int:
-        """h-grading of the whole summand at vertex v."""
-        return -sum(v) + self._sigma_to_o(v) // 2 + self.n_minus
+        """h-grading of the whole summand at (extended) vertex v.  Each
+        3-step in an entry adds 2 to sigma and 3 to |v|, so h drops by 2."""
+        mask, excess = self._reduce(tuple(v))
+        return self.grading_offsets(mask)[0] - 2 * (excess // 3)
 
     def q_offset(self, v: Sequence[int]) -> int:
-        """q-grading minus the circle-label grading Q at vertex v."""
-        return (-sum(v) + 3 * (self._sigma_to_o(v) // 2)
-                - self.n_plus + 2 * self.n_minus)
+        """q-grading minus the circle-label grading Q at (extended) vertex
+        v; a 3-step leaves it unchanged."""
+        return self.grading_offsets(self._reduce(tuple(v))[0])[1]
 
     def max_self_intersection(self, pair_budget: int = 2_000_000) -> int:
         """max sigma(v,u) over comparable cube pairs v >= u.

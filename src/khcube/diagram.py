@@ -105,10 +105,11 @@ class PlanarDiagram:
         if bad:
             raise InconsistentArcs(
                 f"arc labels must appear exactly twice, got {bad}")
-        if self.basepoint is not None and counts and self.basepoint not in counts:
+        if self.basepoint is not None and self.basepoint not in counts:
             raise MalformedPD(f"basepoint arc {self.basepoint} not in diagram")
         if not self.crossings and not self.free_circles:
             raise MalformedPD("empty diagram: no crossings and no circles")
+        self._check_planar()
 
     # -- construction helpers ----------------------------------------
 
@@ -128,6 +129,43 @@ class PlanarDiagram:
     def with_basepoint(self, arc: int) -> "PlanarDiagram":
         return PlanarDiagram(self.crossings, self.marked,
                              self.free_circles, arc)
+
+    def _check_planar(self) -> None:
+        """Raise MalformedPD unless the code draws on the sphere.
+
+        Faces are traced by the counterclockwise slot order: arrive at a
+        slot along its arc, turn to the next slot, leave along that arc.
+        A connected piece with V crossings has 2V arcs, so Euler's
+        formula V - E + F = 2 asks for V + 2 faces per piece.
+        """
+        across: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        root = list(range(self.n_crossings))
+
+        def find(i: int) -> int:
+            while root[i] != i:
+                root[i] = i = root[root[i]]
+            return i
+
+        for end0, end1 in self._arc_slots.values():
+            across[end0], across[end1] = end1, end0
+            root[find(end0[0])] = find(end1[0])
+        faces = 0
+        seen: set = set()
+        for start in across:
+            if start in seen:
+                continue
+            faces += 1
+            slot = start
+            while slot not in seen:
+                seen.add(slot)
+                ci, k = across[slot]
+                slot = (ci, (k + 1) % 4)
+        pieces = sum(find(i) == i for i in range(self.n_crossings))
+        if faces != self.n_crossings + 2 * pieces:
+            raise MalformedPD(
+                f"PD code is not planar: its slot order traces {faces} "
+                f"face(s), Euler's formula needs "
+                f"{self.n_crossings + 2 * pieces}")
 
     # -- static structure --------------------------------------------
 

@@ -14,26 +14,33 @@ its neighbors with one more 0-coordinate and raises (h, q) by exactly
 (1, 0).
 
 Vertices are the cube's integer masks, and per-vertex data are lists
-indexed by mask.  Each edge with a nonzero map is stored once as a flat
-tuple holding the positions of its fused circles (those through the
-crossing's four arcs) at source and target.  Circles are numbered by
-smallest arc with free circles last, so untouched circles keep their
-relative order across an edge: a target label is the source label with
-the fused source bits dropped, zero bits inserted at the fused target
-positions, and those bits set by the merge or split rule.
+indexed by mask; the (h, q) offsets come from
+``GradedCube.grading_offsets``.  Each edge with a nonzero map is stored
+once as (source, target, sign, images): a rule (merge, a, b, c) holds
+the positions of the fused circles at source and target, read off two
+arcs of the crossing, and one table of each label's images under it,
+filled on demand, serves every edge with that rule.  Circles are
+numbered by smallest arc with free circles last, so untouched circles
+keep their relative order across an edge: a target label is the source
+label with the fused source bits dropped, zero bits inserted at the
+fused target positions, and those bits set by the merge or split rule.
 
 The reduced variant keeps the subcomplex where the basepoint circle is
 labeled minus; its q-gradings are reported unshifted (a knot's reduced
 table sits in odd q, matching the parity of the unreduced one).
 
 One routine, ``KhovanovComplex._assemble``, numbers the generators and
-applies the edge maps, for the whole complex or for one q-slice.
-``bigraded_complex`` materializes the whole complex when it is small
-enough to hold in memory, and with ``check`` verifies d^2 = 0 on it.
-``homology`` and ``rational_ranks`` stream instead: each q-slice is
-assembled once, ``BigradedComplex.homology`` verifies d^2 = 0 on it once,
-and a slice whose differential is not of pure bidegree (+1, 0) raises
-SignInconsistency.
+applies the edge maps, for the whole complex or for one q-slice.  Each
+vertex gets one {label: id} table, and each edge writes its entries
+straight into the {src: {tgt: sign}} rows that ``BigradedComplex``
+keeps, d^2 = 0 checks and cancellation reduces.  ``bigraded_complex``
+materializes the whole complex when it is small enough to hold in
+memory, and with ``check`` verifies d^2 = 0 on it.  ``homology`` and
+``rational_ranks`` stream instead: each q-slice is assembled once,
+``BigradedComplex.homology`` verifies d^2 = 0 on it once and then
+cancels units in the slice's own rows (no caller holds the slice, so it
+needs no copy), and a slice whose differential is not of pure bidegree
+(+1, 0) raises SignInconsistency.
 """
 
 from __future__ import annotations
@@ -87,6 +94,19 @@ def _map_label(label: int, merge: bool, a: int, b: int,
     return (base,)
 
 
+class _Images(Dict[int, Tuple[int, ...]]):
+    """_map_label under one rule (merge, a, b, c), filled on demand and
+    shared by every edge with that rule."""
+
+    def __init__(self, rule: Tuple[bool, int, int, int]):
+        super().__init__()
+        self.rule = rule
+
+    def __missing__(self, label: int) -> Tuple[int, ...]:
+        images = self[label] = _map_label(label, *self.rule)
+        return images
+
+
 class KhovanovComplex:
     """Generators, differential, and homology for one diagram's cube."""
 
@@ -94,45 +114,61 @@ class KhovanovComplex:
         self.cube = cube
         self.reduced = reduced
         verts = cube.vertices
-        coords = [cube.coords(v) for v in range(len(verts))]
         self._p = [vx.p for vx in verts]
-        self._h = [cube.h_offset(x) for x in coords]
-        self._qoff = [cube.q_offset(x) for x in coords]
+        self._h, self._qoff = zip(*map(cube.grading_offsets,
+                                       range(len(verts))))
         self._bp = [vx.basepoint_circle if reduced else -1 for vx in verts]
         self._edges = self._edge_maps()
 
     # -- bookkeeping ----------------------------------------------------
 
-    def _edge_maps(self) -> List[Tuple[int, ...]]:
-        """(source, target, sign, merge, a, b, c) for every edge whose map
-        is nonzero, in (mask, coordinate) order; a, b, c as in
-        _map_label."""
+    def _edge_maps(self) -> List[Tuple[int, int, int, _Images]]:
+        """(source, target, sign, label images) for every edge whose map
+        is nonzero, in (mask, coordinate) order.
+
+        The 1-resolution joins arcs (a, d) and (b, c) of a crossing
+        X(a, b, c, d) and the 0-resolution joins (a, b) and (c, d), so
+        arcs a and b name the fused circles at the source and arcs a and
+        c those at the target.
+        """
         cube = self.cube
         diagram = cube.diagram
         arc_pos = {arc: k for k, arc in enumerate(diagram.arcs)}
-        ends = [tuple(arc_pos[arc] for arc in diagram.crossings[c])
+        ends = [tuple(arc_pos[arc] for arc in diagram.crossings[c][:3])
                 for c in diagram.marked_order]
-        maps: List[Tuple[int, ...]] = []
-        verts = cube.vertices
-        for v, vx in enumerate(verts):
-            for i, quad in enumerate(ends):
-                if not (v >> i) & 1:
+        circles = [vx.arc_circles for vx in cube.vertices]
+        ps = self._p
+        rules: Dict[Tuple[bool, int, int, int], _Images] = {}
+        maps: List[Tuple[int, int, int, _Images]] = []
+        for v, at_v in enumerate(circles):
+            pv = ps[v]
+            for i, (ka, kb, kc) in enumerate(ends):
+                bit = 1 << i
+                if not v & bit:
                     continue
-                u = v & ~(1 << i)
-                ux = verts[u]
-                if ux.p == vx.p:
+                u = v ^ bit
+                pu = ps[u]
+                if pu == pv:
                     # Band edge: zero map.  GradedCube._classify has
                     # required writhe defect +-2 on it.
                     continue
-                merge = ux.p < vx.p
-                src = sorted({vx.arc_circles[k] for k in quad})
-                tgt = sorted({ux.arc_circles[k] for k in quad})
-                if (len(src), len(tgt)) != ((2, 1) if merge else (1, 2)):
+                merge = pu < pv
+                s0, s1 = at_v[ka], at_v[kb]
+                t0, t1 = circles[u][ka], circles[u][kc]
+                if (s0 != s1) != merge or (t0 != t1) == merge:
                     raise SignInconsistency(
                         f"{'merge' if merge else 'split'} edge "
                         f"{cube.coords(v)}->{cube.coords(u)} touches "
-                        f"{len(src)} source / {len(tgt)} target circles")
-                maps.append((v, u, edge_sign(v, i), merge, *src, *tgt))
+                        f"{1 + (s0 != s1)} source / {1 + (t0 != t1)} "
+                        "target circles")
+                lo, hi = (s0, s1) if merge else (t0, t1)
+                if lo > hi:
+                    lo, hi = hi, lo
+                rule = (True, lo, hi, t0) if merge else (False, s0, lo, hi)
+                images = rules.get(rule)
+                if images is None:
+                    images = rules[rule] = _Images(rule)
+                maps.append((v, u, edge_sign(v, i), images))
         return maps
 
     def _popcounts(self, v: int, q: Optional[int] = None) -> Sequence[int]:
@@ -182,34 +218,48 @@ class KhovanovComplex:
         """The whole complex (q None) or its q-slice, unverified.
 
         Generators are numbered vertex by vertex in mask order, then by
-        label popcount, then by combination order; entries follow the
-        edges in (mask, coordinate) order.  sandbox_perturb draws its
+        label popcount, then by combination order; each vertex gets one
+        {label: id} table.  Rows are written straight into the
+        {src: {tgt: sign}} map the complex keeps, a row when its first
+        entry appears, entries in edge order ((mask, coordinate), then
+        image order).  Nothing needs summing: distinct edges from a
+        vertex reach distinct targets, split images are distinct and
+        every coefficient is the edge sign.  sandbox_perturb draws its
         seeded entries in this order, so it is part of the output
         contract.
         """
-        ids: Dict[Tuple[int, int], int] = {}
         gradings: List[Tuple[int, int]] = []
-        pcs = [self._popcounts(v, q) for v in range(len(self._p))]
-        for v, vertex_pcs in enumerate(pcs):
-            for pc in vertex_pcs:
-                grading = (self._h[v], self._qoff[v] + 2 * pc - self._p[v])
+        tables: List[Dict[int, int]] = []
+        for v, p in enumerate(self._p):
+            table: Dict[int, int] = {}
+            for pc in self._popcounts(v, q):
+                grading = (self._h[v], self._qoff[v] + 2 * pc - p)
                 for label in self._vertex_masks(v, pc):
-                    ids[(v, label)] = len(gradings)
+                    table[label] = len(gradings)
                     gradings.append(grading)
-        entries: List[Tuple[int, int, int]] = []
-        for v, u, sign, merge, a, b, c in self._edges:
-            for pc in pcs[v]:
-                for label in self._vertex_masks(v, pc):
-                    src = ids[(v, label)]
-                    for tgt_label in _map_label(label, merge, a, b, c):
-                        tgt = ids.get((u, tgt_label))
-                        if tgt is None:
-                            raise SignInconsistency(
-                                "edge map left its q-slice: "
-                                f"{self.cube.coords(v)}->"
-                                f"{self.cube.coords(u)}")
-                        entries.append((src, tgt, sign))
-        return BigradedComplex(gradings, entries)
+            tables.append(table)
+        out: Dict[int, Dict[int, int]] = {}
+        for v, u, sign, images_of in self._edges:
+            sources = tables[v]
+            if not sources:
+                continue
+            targets = tables[u]
+            for label, src in sources.items():
+                images = images_of[label]
+                if not images:
+                    continue
+                row = out.get(src)
+                if row is None:
+                    row = out[src] = {}
+                for image in images:
+                    tgt = targets.get(image)
+                    if tgt is None:
+                        raise SignInconsistency(
+                            "edge map left its q-slice: "
+                            f"{self.cube.coords(v)}->"
+                            f"{self.cube.coords(u)}")
+                    row[tgt] = sign
+        return BigradedComplex(gradings, out)
 
     def bigraded_complex(self, check: bool = True,
                          limit: Optional[int] = _MATERIALIZE_LIMIT) -> BigradedComplex:
@@ -240,7 +290,9 @@ class KhovanovComplex:
         """
         out: Dict[Tuple[int, int], HomologyGroup] = {}
         for q in self._q_values():
-            for key, grp in self._assemble(q).homology().items():
+            cx = self._assemble(q)
+            cx._disposable = True   # no caller holds it: cancel in place
+            for key, grp in cx.homology().items():
                 if key is None:
                     raise SignInconsistency(
                         f"differential not pure (+1,0) on slice q={q}")

@@ -253,6 +253,19 @@ def _flat(groups):
 
 
 class TestBigradedComplex:
+    def test_row_map_is_adopted(self):
+        rows = {0: {1: 2}}
+        c = BigradedComplex([(0, 0), (1, 0)], rows)
+        assert c.out is rows
+        assert c.out == BigradedComplex([(0, 0), (1, 0)], [(0, 1, 2)]).out
+        assert _flat(c.homology()) == {(1, 0): (0, (2,))}
+
+    @pytest.mark.parametrize("rows", [{0: {2: 1}}, {2: {0: 1}}, {-1: {}},
+                                      {0: {1: 0}}])
+    def test_row_map_checked(self, rows):
+        with pytest.raises(ValueError):
+            BigradedComplex([(0, 0), (1, 0)], rows)
+
     def test_multiplication_by_two_gives_torsion(self):
         c = BigradedComplex([(0, 0), (1, 0)], [(0, 1, 2)])
         assert _flat(c.homology()) == {(1, 0): (0, (2,))}
@@ -447,6 +460,16 @@ def _conjugated_sums(draw):
     return gradings, triples, expected
 
 
+def _assert_homology_repeats(c):
+    """homology() twice gives one table and leaves c.out as it was, rows
+    and entries in their order."""
+    rows = [(s, list(row.items())) for s, row in c.out.items()]
+    first = c.homology()
+    assert c.homology() == first
+    assert c.homology(reduce=False) == first
+    assert [(s, list(row.items())) for s, row in c.out.items()] == rows
+
+
 class TestReduction:
     """Unit cancellation must never change homology."""
 
@@ -456,14 +479,18 @@ class TestReduction:
     def test_reduced_equals_unreduced_on_real_complexes(self, name):
         diagram = (braid_closure([1, 1, 2, -2, 1]).with_marked([0, 1, 4])
                    if name == "pseudo-11-2-2-1" else corpus.get(name))
-        c = assemble(diagram).bigraded_complex(check=True)
+        kc = assemble(diagram)
+        c = kc.bigraded_complex(check=True)
+        _assert_homology_repeats(c)
         assert _flat(c.homology(reduce=True)) == _flat(c.homology(reduce=False))
+        assert kc.homology() == kc.homology()
 
     @settings(max_examples=150, deadline=None)
     @given(_conjugated_sums())
     def test_conjugated_direct_sums_match_known_homology(self, case):
         gradings, entries, expected = case
         c = BigradedComplex(gradings, entries)
+        _assert_homology_repeats(c)
         assert _flat(c.homology(reduce=True)) == expected
         assert _flat(c.homology(reduce=False)) == expected
 

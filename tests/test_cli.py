@@ -19,15 +19,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from khcube import SignInconsistency, cli
 from khcube.cli import main
 
 TREFOIL_PD = "X(2,5,1,4) X(4,1,3,6) X(6,3,5,2)"
 
-# Builds as a diagram but its cube contains an edge joining states with
-# equal circle counts and zero writhe defect -- the engine detects the
-# inconsistency while classifying the edge and aborts with an internal
-# error (exit 2), not an input error.
+# Arc labels each used twice, but no planar drawing has this slot order:
+# two faces where Euler's formula needs four.  Refused as input (exit 1).
 NONPLANAR_PD = "X(3,1,3,2) X(1,2,4,4)"
 
 
@@ -420,8 +421,23 @@ class TestExitCodes:
         assert code == 1
         assert "input error" in err
 
-    def test_internal_violation_exit_2(self):
-        code, out, err = run_cli("cube", NONPLANAR_PD)
+    @pytest.mark.parametrize("text", [NONPLANAR_PD, "PD[X(1,2,1,2)]"])
+    def test_nonplanar_code_exit_1(self, text):
+        for cmd in ("parse", "cube", "homology"):
+            code, out, err = run_cli(cmd, text)
+            assert code == 1
+            assert out == ""
+            assert err.startswith("input error: MalformedPD: PD code is "
+                                  "not planar")
+
+    def test_internal_violation_exit_2(self, monkeypatch):
+        # No valid input is known to reach a broken cube, so the
+        # violation is raised where the cube is built.
+        def broken(*args, **kwargs):
+            raise SignInconsistency("edge changes circle count by 0")
+
+        monkeypatch.setattr(cli, "build_cube", broken)
+        code, out, err = run_cli("cube", "trefoil")
         assert code == 2
         assert out == ""
         assert err.startswith("internal invariant violation")
@@ -429,6 +445,32 @@ class TestExitCodes:
     def test_error_output_goes_to_stderr_only(self):
         code, out, err = run_cli("alexander", "hopf")
         assert out == "" and err != ""
+
+
+# Random input of at most three crossings: PD text, and both JSON forms.
+_CROSSINGS = st.lists(st.tuples(*[st.integers(0, 7)] * 4), max_size=3)
+_PD_TEXT = _CROSSINGS.map(
+    lambda xs: "PD[" + ",".join("X(%d,%d,%d,%d)" % x for x in xs) + "]")
+_PD_JSON = st.fixed_dictionaries(
+    {"pd": _CROSSINGS.map(lambda xs: [list(x) for x in xs])},
+    optional={"marked": st.lists(st.integers(-1, 3), max_size=3),
+              "free_circles": st.integers(-1, 2),
+              "basepoint": st.integers(0, 8)})
+_BRAID_JSON = st.fixed_dictionaries(
+    {"braid": st.lists(st.integers(-3, 3), max_size=3)},
+    optional={"strands": st.integers(0, 4)})
+_FUZZ_INPUT = st.one_of(_PD_TEXT, st.one_of(_PD_JSON, _BRAID_JSON).map(
+    json.dumps))
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(_FUZZ_INPUT, st.sampled_from(["parse", "cube", "homology"]))
+    def test_random_input_exits_0_or_1(self, text, cmd):
+        code, out, err = run_cli(cmd, text)
+        assert code in (0, 1), err
+        assert "Traceback" not in err
+        assert (code == 0) == (out != "")
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from khcube import (
     MERGE,
     NONORIENTABLE_BAND,
+    MalformedPD,
     SPLIT,
     NotAPseudoDiagram,
     OutOfDomain,
@@ -22,12 +23,14 @@ from khcube import (
     SignInconsistency,
     UNLINK_UNVERIFIED,
     UnknownCrossingId,
+    braid_closure,
     build_cube,
+    corpus,
 )
 
 TREFOIL = [(2, 5, 1, 4), (4, 1, 3, 6), (6, 3, 5, 2)]
 CLASP_PLUS = ([(1, 2, 3, 4), (1, 4, 3, 2)], [0])
-CLASP_MINUS = ([(1, 2, 3, 4), (1, 2, 3, 4)], [0])
+CLASP_MINUS = ([(1, 2, 3, 4), (2, 1, 4, 3)], [0])
 
 
 def _circle_oracle(diagram, bits):
@@ -54,9 +57,17 @@ def _circle_oracle(diagram, bits):
 
 
 def _random_code(rng, n):
+    """A random planar PD code: labels are reshuffled until
+    PlanarDiagram.build accepts the code."""
     labels = [a for a in range(1, 2 * n + 1) for _ in range(2)]
-    rng.shuffle(labels)
-    return [tuple(labels[4 * k: 4 * k + 4]) for k in range(n)]
+    while True:
+        rng.shuffle(labels)
+        code = [tuple(labels[4 * k: 4 * k + 4]) for k in range(n)]
+        try:
+            PlanarDiagram.build(code)
+        except MalformedPD:
+            continue
+        return code
 
 
 # -- vertices ------------------------------------------------------------
@@ -82,13 +93,7 @@ class TestVertices:
     @given(st.integers(0, 10_000), st.integers(1, 5))
     def test_circle_counts_match_union_find_oracle(self, seed, n):
         d = PlanarDiagram.build(_random_code(random.Random(seed), n))
-        try:
-            # Fully marked: every state is crossingless.
-            cube = build_cube(d)
-        except SignInconsistency:
-            # Random codes need not be planar; a non-planar band edge
-            # keeps the circle count and is rejected by the builder.
-            return
+        cube = build_cube(d)  # fully marked: every state is crossingless
         for bits in itertools.product((0, 1), repeat=n):
             assert cube.vertex(bits).p == _circle_oracle(d, bits)
 
@@ -199,6 +204,25 @@ class TestGradings:
         for v in itertools.product((0, 1), repeat=cube.n_marked):
             assert cube.h_offset(v) == -sum(v) + n_minus
             assert cube.q_offset(v) == -sum(v) - n_plus + 2 * n_minus
+
+    @pytest.mark.parametrize("diagram", [
+        corpus.get("clasp-minus"),
+        corpus.get("clasp-plus"),
+        braid_closure([1, 1, 2, -2, 1]).with_marked([0, 1, 4]),
+    ], ids=["clasp-minus", "clasp-plus", "retained-pair"])
+    def test_mask_offsets_follow_the_sigma_formula(self, diagram):
+        # h = -|v| + sigma(v,o)/2 + n-, q - Q = -|v| + 3 sigma(v,o)/2
+        # - n+ + 2 n-; the clasps have states of nonzero writhe, where
+        # the closed formulas of genuine diagrams do not hold.
+        cube = build_cube(diagram)
+        for mask in range(len(cube.vertices)):
+            v = cube.coords(mask)
+            s = cube.sigma(v, cube.o)
+            assert s % 2 == 0
+            expected = (-sum(v) + s // 2 + cube.n_minus,
+                        -sum(v) + 3 * s // 2 - cube.n_plus + 2 * cube.n_minus)
+            assert cube.grading_offsets(mask) == expected
+            assert (cube.h_offset(v), cube.q_offset(v)) == expected
 
     def test_oriented_vertex_sits_at_h_zero(self):
         for code in (TREFOIL, [(4, 2, 5, 1), (8, 6, 1, 5),

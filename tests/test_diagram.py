@@ -25,9 +25,17 @@ CLASP = [(1, 2, 3, 4), (1, 4, 3, 2)]
 
 
 def _random_code(rng, n):
+    """A random planar PD code: labels are reshuffled until
+    PlanarDiagram.build accepts the code."""
     labels = [a for a in range(1, 2 * n + 1) for _ in range(2)]
-    rng.shuffle(labels)
-    return [tuple(labels[4 * k: 4 * k + 4]) for k in range(n)]
+    while True:
+        rng.shuffle(labels)
+        code = [tuple(labels[4 * k: 4 * k + 4]) for k in range(n)]
+        try:
+            PlanarDiagram.build(code)
+        except MalformedPD:
+            continue
+        return code
 
 
 # -- validation ---------------------------------------------------------
@@ -53,6 +61,8 @@ class TestValidation:
     def test_basepoint_must_be_an_arc(self):
         with pytest.raises(MalformedPD):
             PlanarDiagram.build(TREFOIL, basepoint=99)
+        with pytest.raises(MalformedPD):
+            PlanarDiagram.build([], free_circles=1, basepoint=1)
 
     def test_empty_diagram_rejected(self):
         with pytest.raises(MalformedPD):
@@ -251,7 +261,7 @@ class TestUnlinkChecks:
         assert d.resolve(()).writhe_unlink() == 0
 
     def test_writhe_unlink_rejects_linked_circles(self):
-        d = PlanarDiagram.build([(1, 2, 3, 4), (1, 2, 3, 4)], marked=[])
+        d = PlanarDiagram.build([(1, 2, 3, 4), (2, 1, 4, 3)], marked=[])
         with pytest.raises(OrientationDependentWrithe):
             d.resolve(()).writhe_unlink()
 
