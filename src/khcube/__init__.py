@@ -20,7 +20,7 @@ from .errors import (InconsistentArcs, InfeasibleParity, KhError,
                      MalformedPD, MultiComponent, NotADifferential,
                      NotAPseudoDiagram, NotFiltered, OddSelfIntersection,
                      OrderViolation, OrientationDependentWrithe, OutOfDomain,
-                     SignInconsistency, UnknownCrossingId, UnorientedDiagram)
+                     SignInconsistency, UnknownCrossingId)
 from .filtration import (FilteredComplex, PerturbedDifferential,
                          SpectralPage, cobordism_order, op_order,
                          q_order_bound, sandbox_perturb, spectral_sequence)
@@ -59,7 +59,7 @@ __all__ = [
     "DifferentialPlacement", "PlacementOption",
     # errors
     "KhError", "MalformedPD", "InconsistentArcs", "UnknownCrossingId",
-    "UnorientedDiagram", "OrientationDependentWrithe", "NotAPseudoDiagram",
+    "OrientationDependentWrithe", "NotAPseudoDiagram",
     "OutOfDomain", "NotADifferential", "SignInconsistency",
     "OrderViolation", "NotFiltered", "OddSelfIntersection",
     "MultiComponent", "InfeasibleParity",

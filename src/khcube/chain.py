@@ -23,8 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import (Dict, Iterable, List, Mapping, Optional, Sequence, Set,
-                    Tuple)
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .errors import NotADifferential
 
@@ -112,16 +111,13 @@ class SparseIntMatrix:
 
 @dataclass(frozen=True)
 class SNFResult:
-    """Diagonal form data: rank, divisor chain, optional transforms.
+    """Diagonal form data: rank and divisor chain.
 
     divisors is the full chain d_1 | d_2 | ... | d_rank (all positive).
-    When transforms are requested, U @ A @ V equals the diagonal form.
     """
 
     rank: int
     divisors: Tuple[int, ...]
-    U: Optional[SparseIntMatrix] = None
-    V: Optional[SparseIntMatrix] = None
 
     def nontrivial_divisors(self) -> Tuple[int, ...]:
         return tuple(d for d in self.divisors if d != 1)
@@ -144,8 +140,7 @@ def _pick_pivot(rows: Dict[int, Dict[int, int]],
     return best
 
 
-def smith_normal_form(matrix: SparseIntMatrix,
-                      want_transforms: bool = False) -> SNFResult:
+def smith_normal_form(matrix: SparseIntMatrix) -> SNFResult:
     """Smith normal form over Z.
 
     The divisor chain property (each diagonal entry divides the next) is
@@ -157,12 +152,6 @@ def smith_normal_form(matrix: SparseIntMatrix,
     for (i, j), v in matrix.entries.items():
         rows.setdefault(i, {})[j] = v
         col_index.setdefault(j, set()).add(i)
-
-    U_rows: Dict[int, Dict[int, int]] = {}
-    V_cols: Dict[int, Dict[int, int]] = {}
-    if want_transforms:
-        U_rows = {i: {i: 1} for i in range(matrix.nrows)}
-        V_cols = {j: {j: 1} for j in range(matrix.ncols)}
 
     def row_op(dst: int, src: int, q: int) -> None:
         # row[dst] -= q * row[src]
@@ -178,15 +167,6 @@ def smith_normal_form(matrix: SparseIntMatrix,
                 col_index[j].discard(dst)
         if not dst_row:
             del rows[dst]
-        if want_transforms:
-            u_src = U_rows.get(src, {})
-            u_dst = U_rows.setdefault(dst, {})
-            for j, v in u_src.items():
-                nv = u_dst.get(j, 0) - q * v
-                if nv:
-                    u_dst[j] = nv
-                elif j in u_dst:
-                    del u_dst[j]
 
     def col_op(dst: int, src: int, q: int) -> None:
         # col[dst] -= q * col[src]
@@ -200,18 +180,8 @@ def smith_normal_form(matrix: SparseIntMatrix,
             elif dst in row:
                 del row[dst]
                 col_index[dst].discard(i)
-        if want_transforms:
-            v_src = V_cols.get(src, {})
-            v_dst = V_cols.setdefault(dst, {})
-            for i, v in v_src.items():
-                nv = v_dst.get(i, 0) - q * v
-                if nv:
-                    v_dst[i] = nv
-                elif i in v_dst:
-                    del v_dst[i]
 
     divisors: List[int] = []
-    pivot_positions: List[Tuple[int, int]] = []
     while rows:
         pi, pj = _pick_pivot(rows, col_index)
         while True:
@@ -255,37 +225,11 @@ def smith_normal_form(matrix: SparseIntMatrix,
             if offender is None:
                 break
             row_op(pi, offender, -1)  # row[pi] += row[offender]
-        p = rows[pi][pj]
-        if p < 0:
-            p = -p
-            # negate the pivot row
-            rows[pi][pj] = p
-            if want_transforms:
-                U_rows[pi] = {j: -v for j, v in U_rows.get(pi, {}).items()}
-        divisors.append(p)
-        pivot_positions.append((pi, pj))
+        divisors.append(abs(rows[pi][pj]))
         del rows[pi]
         col_index[pj].discard(pi)
 
-    U = V = None
-    if want_transforms:
-        # Elimination leaves divisor k at an arbitrary position; compose
-        # with permutations so it sits at diagonal position (k, k).
-        row_order = [pi for pi, _ in pivot_positions]
-        taken = set(row_order)
-        row_order += [i for i in range(matrix.nrows) if i not in taken]
-        col_order = [pj for _, pj in pivot_positions]
-        taken = set(col_order)
-        col_order += [j for j in range(matrix.ncols) if j not in taken]
-        U = SparseIntMatrix(
-            matrix.nrows, matrix.nrows,
-            {(k, j): v for k, old in enumerate(row_order)
-             for j, v in U_rows.get(old, {}).items()})
-        V = SparseIntMatrix(
-            matrix.ncols, matrix.ncols,
-            {(i, k): v for k, old in enumerate(col_order)
-             for i, v in V_cols.get(old, {}).items()})
-    return SNFResult(rank=len(divisors), divisors=tuple(divisors), U=U, V=V)
+    return SNFResult(rank=len(divisors), divisors=tuple(divisors))
 
 
 def rank_over_q(matrix: SparseIntMatrix) -> int:
@@ -388,10 +332,10 @@ class HomologyGroup:
 class BigradedComplex:
     """A finitely generated complex of free Z-modules with (h, q) gradings.
 
-    generators: sequence of (h, q) pairs, indexed by position.
-    entries: iterable of (src, tgt, coeff) triples defining d(src), summed
-        per (src, tgt); or a row map {src: {tgt: coeff}} of nonzero
-        coefficients, which becomes ``out`` itself, without a copy.
+    gradings: sequence of (h, q) int pairs, indexed by generator.
+    rows: the differential as a row map {src: {tgt: coeff}} of nonzero
+        coefficients, d(src) = sum of coeff * tgt; it becomes ``out``
+        itself, without a copy.
     """
 
     # Set by the owner of a complex that no caller holds (a streamed
@@ -400,28 +344,15 @@ class BigradedComplex:
 
     def __init__(self,
                  gradings: Sequence[Tuple[int, int]],
-                 entries: Iterable[Tuple[int, int, int]]
-                 | Dict[int, Dict[int, int]] = ()):
-        self.gradings: Tuple[Tuple[int, int], ...] = tuple(
-            (int(h), int(q)) for h, q in gradings)
-        n = len(self.gradings)
-        if isinstance(entries, dict):
-            ids = set(entries).union(*entries.values())
-            if ids and not (min(ids) >= 0 and max(ids) < n):
-                raise ValueError("differential entry outside generator range")
-            if not all(map(all, map(dict.values, entries.values()))):
-                raise ValueError("zero coefficient in a row map")
-            self.out: Dict[int, Dict[int, int]] = entries
-            return
-        self.out = {}
-        for src, tgt, coeff in entries:
-            if not (0 <= src < n and 0 <= tgt < n):
-                raise ValueError("differential entry outside generator range")
-            if coeff:
-                row = self.out.setdefault(src, {})
-                row[tgt] = row.get(tgt, 0) + int(coeff)
-                if not row[tgt]:
-                    del row[tgt]
+                 rows: Optional[Dict[int, Dict[int, int]]] = None):
+        self.gradings: Tuple[Tuple[int, int], ...] = tuple(gradings)
+        rows = {} if rows is None else rows
+        ids = set(rows).union(*rows.values())
+        if ids and not (min(ids) >= 0 and max(ids) < len(self.gradings)):
+            raise ValueError("differential entry outside generator range")
+        if not all(map(all, map(dict.values, rows.values()))):
+            raise ValueError("zero coefficient in a row map")
+        self.out: Dict[int, Dict[int, int]] = rows
 
     # -- bookkeeping --------------------------------------------------
 
@@ -434,11 +365,6 @@ class BigradedComplex:
         for g in self.gradings:
             out[g] = out.get(g, 0) + 1
         return out
-
-    def differential_entries(self) -> Iterable[Tuple[int, int, int]]:
-        for src, row in self.out.items():
-            for tgt, c in row.items():
-                yield src, tgt, c
 
     def differential_bidegrees(self) -> set:
         degs = set()

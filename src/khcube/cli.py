@@ -26,7 +26,7 @@ from .diagram import PlanarDiagram
 from .errors import (InconsistentArcs, InfeasibleParity, KhError, MalformedPD,
                      MultiComponent, NotAPseudoDiagram, NotFiltered,
                      OrientationDependentWrithe, OutOfDomain,
-                     UnknownCrossingId, UnorientedDiagram)
+                     UnknownCrossingId)
 from .filtration import FilteredComplex, sandbox_perturb, spectral_sequence
 from .invariants import (alexander, differential_feasibility, mod4_betti,
                          rank_lower_bound)
@@ -35,7 +35,7 @@ from .khovanov import assemble, reduced_assemble, reidemeister_compare
 __all__ = ["main"]
 
 _INPUT_ERRORS = (MalformedPD, InconsistentArcs, UnknownCrossingId,
-                 UnorientedDiagram, OrientationDependentWrithe,
+                 OrientationDependentWrithe,
                  NotAPseudoDiagram, MultiComponent, InfeasibleParity,
                  NotFiltered, OutOfDomain)
 
@@ -91,16 +91,12 @@ def _cmd_parse(args) -> int:
         "free_circles": d.free_circles,
         "arcs": sorted(d.arcs),
         "components": [list(c) for c in d.components],
-        "n_components": len(d.components) + d.free_circles,
+        "n_components": d.n_components,
+        "signs": list(d.signs),
+        "n_plus": d.n_plus,
+        "n_minus": d.n_minus,
+        "oriented": True,
     }
-    try:
-        info["signs"] = list(d.signs)
-        info["n_plus"] = d.n_plus
-        info["n_minus"] = d.n_minus
-        info["oriented"] = True
-    except KhError:
-        info["signs"] = None
-        info["oriented"] = False
     _emit_json(info)
     return 0
 
@@ -212,7 +208,7 @@ def _cmd_verify(args) -> int:
             other = other.mirror()
         _emit_json(reidemeister_compare(d, other, reduced=args.reduced))
         return 0
-    cube = build_cube(d, strict=False)
+    cube = build_cube(d, trust_pseudo=True)
     vertices = []
     for v in product((0, 1), repeat=cube.n_marked):
         vx = cube.vertex(v)
@@ -272,7 +268,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--weight", default="1,0",
                    help="filtration weight 'a,b' (default 1,0)")
     p.add_argument("--perturb", type=int, default=None, metavar="SEED",
-                   help="conjugate-mode sandbox perturbation seed")
+                   help="sandbox perturbation seed (conjugation by id + n)")
     p.add_argument("--trust-pseudo", action="store_true")
 
     add("alexander", _cmd_alexander, fmt=True)

@@ -256,21 +256,19 @@ class GradedCube:
                 "o": list(self.o), "vertices": verts, "edges": edges}
 
 
-def build_cube(diagram: PlanarDiagram, strict: bool = True,
+def build_cube(diagram: PlanarDiagram,
                trust_pseudo: bool = False) -> GradedCube:
     """Resolve all 2^|N| vertices and check all edges.
 
-    strict: reject any vertex whose unlink validation returns
-    Unverified (NotAPseudoDiagram) unless trust_pseudo is set.
-    Non-strict (strict=False) behaves like trust_pseudo.
+    A vertex whose unlink validation returns Unverified raises
+    NotAPseudoDiagram unless trust_pseudo is set.
     """
     n = len(diagram.marked_order)
-    tolerant = trust_pseudo or not strict
     vertices: List[CubeVertex] = []
     for mask in range(1 << n):
         state = diagram.resolve([(mask >> i) & 1 for i in range(n)])
         status = state.unlink_status()
-        if status == UNLINK_VERIFIED or tolerant:
+        if status == UNLINK_VERIFIED or trust_pseudo:
             # A verified state always has a consistent writhe; on trusted
             # unverified states the computation may legitimately raise
             # OrientationDependentWrithe.
@@ -283,8 +281,8 @@ def build_cube(diagram: PlanarDiagram, strict: bool = True,
             state.basepoint_circle))
 
     cube = GradedCube(diagram, vertices, diagram.n_plus, diagram.n_minus,
-                      diagram.oriented_assignment(), trust_pseudo=tolerant)
-    if not tolerant:
+                      diagram.oriented_assignment(), trust_pseudo=trust_pseudo)
+    if not trust_pseudo:
         bad = sorted(cube.coords(m) for m, vx in enumerate(vertices)
                      if vx.unlink_status != UNLINK_VERIFIED)
         if bad:

@@ -73,6 +73,35 @@ def _cross_z(u: Tuple[int, int], v: Tuple[int, int]) -> int:
     return u[0] * v[1] - u[1] * v[0]
 
 
+def _crossing_sign(heads: Mapping[int, Tuple[int, int]], x: Crossing,
+                   ci: int) -> int:
+    """Sign of crossing ``ci`` with arcs ``x`` when each arc runs into
+    the (crossing, slot) endpoint ``heads[arc]``."""
+    under_in = 0 if heads[x[0]] == (ci, 0) else 2
+    over_in = 1 if heads[x[1]] == (ci, 1) else 3
+    u = _SLOT_VEC[_strand_exit(under_in)]
+    ui = _SLOT_VEC[under_in]
+    o = _SLOT_VEC[_strand_exit(over_in)]
+    oi = _SLOT_VEC[over_in]
+    under_dir = (u[0] - ui[0], u[1] - ui[1])
+    over_dir = (o[0] - oi[0], o[1] - oi[1])
+    return 1 if _cross_z(over_dir, under_dir) > 0 else -1
+
+
+def _smoothing_exit(smooth: Mapping[int, int]):
+    """The slot a path leaves a crossing by, given the slot it entered:
+    straight through a retained crossing, along the 0- or 1-smoothing of
+    a crossing ``smooth`` resolves."""
+    def exit_rule(ci: int, slot: int) -> int:
+        v = smooth.get(ci)
+        if v is None:
+            return _strand_exit(slot)
+        if v == 0:
+            return slot ^ 1
+        return (3, 2, 1, 0)[slot]
+    return exit_rule
+
+
 @dataclass(frozen=True)
 class PlanarDiagram:
     """An immutable PD code with a marked crossing subset.
@@ -255,17 +284,8 @@ class PlanarDiagram:
         """Crossing sign under the component orientations."""
         if not (0 <= crossing_id < self.n_crossings):
             raise UnknownCrossingId(f"no crossing {crossing_id}")
-        heads = self.arc_heads
-        x = self.crossings[crossing_id]
-        under_in = 0 if heads[x[0]] == (crossing_id, 0) else 2
-        over_in = 1 if heads[x[1]] == (crossing_id, 1) else 3
-        u = _SLOT_VEC[_strand_exit(under_in)]
-        ui = _SLOT_VEC[under_in]
-        o = _SLOT_VEC[_strand_exit(over_in)]
-        oi = _SLOT_VEC[over_in]
-        under_dir = (u[0] - ui[0], u[1] - ui[1])
-        over_dir = (o[0] - oi[0], o[1] - oi[1])
-        return 1 if _cross_z(over_dir, under_dir) > 0 else -1
+        return _crossing_sign(self.arc_heads, self.crossings[crossing_id],
+                              crossing_id)
 
     @cached_property
     def signs(self) -> Tuple[int, ...]:
@@ -347,17 +367,8 @@ class ResolvedState:
         self.diagram = diagram
         self.choices = choices
         self.retained = diagram.retained
-        smooth = dict(zip(diagram.marked_order, choices))
+        exit_rule = _smoothing_exit(dict(zip(diagram.marked_order, choices)))
         slots = diagram._arc_slots
-
-        def exit_rule(ci: int, slot: int) -> int:
-            v = smooth.get(ci)
-            if v is None:
-                return _strand_exit(slot)
-            if v == 0:
-                return slot ^ 1
-            return (3, 2, 1, 0)[slot]
-
         seen: set = set()
         circles: List[Tuple[int, ...]] = []
         heads: Dict[int, Tuple[int, int]] = {}
@@ -404,17 +415,8 @@ class ResolvedState:
 
     def retained_sign(self, crossing_id: int) -> int:
         """Sign of a retained crossing under the state's circle orientations."""
-        heads = self._heads
-        x = self.diagram.crossings[crossing_id]
-        under_in = 0 if heads[x[0]] == (crossing_id, 0) else 2
-        over_in = 1 if heads[x[1]] == (crossing_id, 1) else 3
-        u = _SLOT_VEC[_strand_exit(under_in)]
-        ui = _SLOT_VEC[under_in]
-        o = _SLOT_VEC[_strand_exit(over_in)]
-        oi = _SLOT_VEC[over_in]
-        under_dir = (u[0] - ui[0], u[1] - ui[1])
-        over_dir = (o[0] - oi[0], o[1] - oi[1])
-        return 1 if _cross_z(over_dir, under_dir) > 0 else -1
+        return _crossing_sign(self._heads, self.diagram.crossings[crossing_id],
+                              crossing_id)
 
     def writhe_unlink(self) -> int:
         """Writhe of the retained-crossing diagram of this state.
@@ -451,14 +453,8 @@ class ResolvedState:
         # Build the retained-crossing port graph: strands between
         # retained crossings become single edges.
         slots = self.diagram._arc_slots
-        smooth = dict(zip(self.diagram.marked_order, self.choices))
-
-        def exit_rule(ci: int, slot: int) -> int:
-            v = smooth.get(ci)
-            if v is None:
-                return _strand_exit(slot)
-            return (slot ^ 1) if v == 0 else (3, 2, 1, 0)[slot]
-
+        exit_rule = _smoothing_exit(
+            dict(zip(self.diagram.marked_order, self.choices)))
         retained_set = set(self.retained)
         port_edge: Dict[Tuple[int, int], int] = {}
         edge_ends: Dict[int, List[Optional[Tuple[int, int]]]] = {}

@@ -12,7 +12,6 @@ __all__ = [
     "MalformedPD",
     "InconsistentArcs",
     "UnknownCrossingId",
-    "UnorientedDiagram",
     "OrientationDependentWrithe",
     "NotAPseudoDiagram",
     "OutOfDomain",
@@ -40,10 +39,6 @@ class InconsistentArcs(KhError):
 
 class UnknownCrossingId(KhError):
     """A crossing id outside range(len(crossings))."""
-
-
-class UnorientedDiagram(KhError):
-    """An operation needed component orientations that are unavailable."""
 
 
 class OrientationDependentWrithe(KhError):

@@ -28,6 +28,9 @@ image part from one ``rank_over_q`` call per attained filtration degree.
 the same order contracts as the Khovanov differential: conjugation
 ``g d g^{-1}`` by ``g = id + n`` where ``n`` strictly increases both
 gradings, so the perturbation is invisible in leading filtration order.
+n, g^{-1} and the result are row maps {src: {tgt: coeff}}, the form the
+complex keeps its differential in; g^{-1} takes one pass over the
+generators by h descending, because n strictly raises h.
 """
 
 from __future__ import annotations
@@ -37,11 +40,10 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from math import gcd
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .chain import BigradedComplex, SparseIntMatrix, rank_over_q
-from .errors import (KhError, NotADifferential, NotFiltered,
-                     OddSelfIntersection, OrderViolation)
+from .errors import KhError, NotFiltered, OddSelfIntersection, OrderViolation
 
 __all__ = [
     "FilteredComplex",
@@ -55,6 +57,9 @@ __all__ = [
     "SANDBOX_GENERATOR_LIMIT",
 ]
 
+#: A map {src: {tgt: coeff}}, the form a complex keeps its differential in.
+Rows = Dict[int, Dict[int, int]]
+
 #: Largest complex the random sandbox will perturb.  Eligibility scans
 #: are quadratic in the generator count, so the sandbox targets the
 #: small-diagram corpus, not torus-knot sized complexes.
@@ -65,41 +70,26 @@ SANDBOX_GENERATOR_LIMIT = 4000
 # map order
 
 
-def _entry_triples(f, gradings) -> Iterable[Tuple[int, int, int]]:
-    """Normalize a graded map to (source, target, coeff) triples.
-
-    Accepts a SparseIntMatrix (entry (i, j) = coefficient of generator i
-    in the image of generator j), a mapping src -> {tgt: coeff}, or an
-    iterable of triples.
-    """
-    if isinstance(f, SparseIntMatrix):
-        n = len(gradings)
-        if f.nrows != n or f.ncols != n:
-            raise ValueError(
-                f"matrix is {f.nrows}x{f.ncols} but there are {n} generators")
-        return ((j, i, v) for (i, j), v in f.entries.items())
-    if isinstance(f, Mapping):
-        return ((s, t, c) for s, row in f.items() for t, c in row.items())
-    return iter(f)
-
-
-def op_order(f, gradings: Sequence[Tuple[int, int]]) -> Tuple[float, float]:
+def op_order(f: Mapping[int, Mapping[int, int]],
+             gradings: Sequence[Tuple[int, int]]) -> Tuple[float, float]:
     """Componentwise filtration shift (s, t) of a graded map.
 
-    s is the minimum of h(target) - h(source) over nonzero entries and t
-    the minimum of q(target) - q(source); the two minima may come from
-    different entries.  The zero map reports ``(inf, inf)``.
+    ``f`` is a row map {src: {tgt: coeff}}.  s is the minimum of
+    h(target) - h(source) over nonzero entries and t the minimum of
+    q(target) - q(source); the two minima may come from different
+    entries.  The zero map reports ``(inf, inf)``.
     """
     s = t = math.inf
-    for src, tgt, coeff in _entry_triples(f, gradings):
-        if not coeff:
-            continue
+    for src, row in f.items():
         hs, qs = gradings[src]
-        ht, qt = gradings[tgt]
-        if ht - hs < s:
-            s = ht - hs
-        if qt - qs < t:
-            t = qt - qs
+        for tgt, coeff in row.items():
+            if not coeff:
+                continue
+            ht, qt = gradings[tgt]
+            if ht - hs < s:
+                s = ht - hs
+            if qt - qs < t:
+                t = qt - qs
     return (s, t)
 
 
@@ -332,6 +322,9 @@ def spectral_sequence(fc: FilteredComplex) -> List[SpectralPage]:
 # ---------------------------------------------------------------------------
 # sandbox for perturbed differentials
 
+#: Chance that an eligible entry of the sandbox's map n is nonzero.
+_SANDBOX_DENSITY = 0.1
+
 
 def _matrix_of(B: BigradedComplex) -> SparseIntMatrix:
     n = B.n_generators
@@ -340,40 +333,36 @@ def _matrix_of(B: BigradedComplex) -> SparseIntMatrix:
         {(t, s): c for s, row in B.out.items() for t, c in row.items()})
 
 
-def _mat_diff(x: SparseIntMatrix, y: SparseIntMatrix) -> SparseIntMatrix:
-    ent = dict(x.entries)
-    for k, v in y.entries.items():
-        nv = ent.get(k, 0) - v
-        if nv:
-            ent[k] = nv
-        else:
-            ent.pop(k, None)
-    return SparseIntMatrix(x.nrows, x.ncols, ent)
-
-
-def _identity(n: int) -> SparseIntMatrix:
-    return SparseIntMatrix(n, n, {(i, i): 1 for i in range(n)})
+def _apply(f: Rows, v: Mapping[int, int]) -> Dict[int, int]:
+    """f(v) for a row map f and a vector v, both keyed by generator."""
+    acc: Dict[int, int] = {}
+    get = acc.get
+    for m, c in v.items():
+        for t, w in f.get(m, {}).items():
+            acc[t] = get(t, 0) + c * w
+    return {t: c for t, c in acc.items() if c}
 
 
 @dataclass(frozen=True)
 class PerturbedDifferential:
     """A differential with the same order contracts as the Khovanov one.
 
+    ``matrix``, ``base`` and ``certificate`` are row maps
+    {src: {tgt: coeff}} on the generators graded by ``gradings``.
     ``matrix`` squares to zero, has order >= (1, 0), and differs from
-    ``base`` by a map of order >= (1, 2).  ``certificate`` holds the
-    conjugating map g (with matrix = g base g^{-1}) when the instance
-    came from the conjugation sandbox, and None for raw input.
+    ``base`` by a map of order >= (1, 2).  ``certificate`` holds the rows
+    of n, with matrix = g base g^{-1} for g = id + n, when the instance
+    came from :func:`sandbox_perturb`, and None for a differential
+    given directly.
     """
 
-    matrix: SparseIntMatrix
-    base: SparseIntMatrix
+    matrix: Rows
+    base: Rows
     gradings: Tuple[Tuple[int, int], ...]
-    certificate: Optional[SparseIntMatrix] = None
+    certificate: Optional[Rows] = None
 
     def __post_init__(self):
-        if (self.matrix @ self.matrix).nnz():
-            raise NotADifferential(
-                "perturbed differential does not square to zero")
+        self.complex().check_square_zero()
         s, t = self.order()
         if not (s >= 1 and t >= 0):
             raise OrderViolation(
@@ -387,54 +376,52 @@ class PerturbedDifferential:
     def order(self) -> Tuple[float, float]:
         return op_order(self.matrix, self.gradings)
 
-    def difference(self) -> SparseIntMatrix:
-        return _mat_diff(self.matrix, self.base)
+    def difference(self) -> Rows:
+        """matrix - base, as a row map."""
+        out: Rows = {}
+        for s in self.matrix.keys() | self.base.keys():
+            row = dict(self.matrix.get(s, {}))
+            for t, c in self.base.get(s, {}).items():
+                row[t] = row.get(t, 0) - c
+            row = {t: c for t, c in row.items() if c}
+            if row:
+                out[s] = row
+        return out
 
     def difference_order(self) -> Tuple[float, float]:
         return op_order(self.difference(), self.gradings)
 
     def complex(self) -> BigradedComplex:
-        return BigradedComplex(
-            self.gradings,
-            ((s, t, c) for (t, s), c in self.matrix.entries.items()))
+        return BigradedComplex(self.gradings, self.matrix)
 
     def filtered(self, weight: Tuple[int, int]) -> FilteredComplex:
         return FilteredComplex(self.complex(), weight)
 
 
-def sandbox_perturb(source, seed: int = 0, mode: str = "conjugate",
-                    density: float = 0.1,
-                    raw: Optional[SparseIntMatrix] = None
-                    ) -> PerturbedDifferential:
-    """Build a perturbed differential on an assembled Khovanov complex.
+def sandbox_perturb(source, seed: int = 0) -> PerturbedDifferential:
+    """Conjugate the differential of an assembled complex by g = id + n.
 
     ``source`` is a KhovanovComplex (anything with a bigraded_complex()
-    method) or a BigradedComplex.  mode="conjugate" draws a random map n
-    with every entry raising h by >= 1 and q by >= 2 (each eligible
-    entry nonzero with the given density, values +-1, seeded PRNG over
-    the eligible pairs in sorted order), sets g = id + n, and conjugates
-    the base differential; n is strictly grading-increasing, hence
-    nilpotent, and the inverse of g is the finite alternating sum of its
-    powers.  mode="raw" validates a user-supplied matrix against the
-    square-zero and order contracts instead.
+    method) or a BigradedComplex.  n raises h by >= 1 and q by >= 2 on
+    every entry: for each source generator in id order, each eligible
+    target (by h ascending, then id) is nonzero with chance 0.1 under a
+    PRNG seeded with ``seed``, with value +-1.  n strictly raises h, so
+    g is invertible over Z; g^{-1} is built in one pass over the
+    generators by h descending,
+
+        g^{-1}(e_j) = e_j - sum_k n_kj g^{-1}(e_k),
+
+    since every such k has larger h than j and is already done.  Then
+    g d g^{-1} is composed one generator at a time.  n, g^{-1} and the
+    result are {src: {tgt: coeff}} row maps like the complex's own.
     """
     B = source.bigraded_complex() if hasattr(source, "bigraded_complex") \
         else source
     if not isinstance(B, BigradedComplex):
         raise TypeError("source must be a Khovanov complex or a "
                         "BigradedComplex")
-    n_gens = B.n_generators
-    base = _matrix_of(B)
-    gradings = tuple(B.gradings)
-
-    if mode == "raw":
-        if raw is None:
-            raise ValueError("mode='raw' requires the raw matrix")
-        return PerturbedDifferential(
-            matrix=raw, base=base, gradings=gradings, certificate=None)
-    if mode != "conjugate":
-        raise ValueError(f"unknown sandbox mode {mode!r}")
-
+    gradings = B.gradings
+    n_gens = len(gradings)
     if n_gens > SANDBOX_GENERATOR_LIMIT:
         raise KhError(
             f"sandbox perturbation is limited to {SANDBOX_GENERATOR_LIMIT} "
@@ -445,37 +432,34 @@ def sandbox_perturb(source, seed: int = 0, mode: str = "conjugate",
     by_h: Dict[int, List[int]] = {}
     for i, (h, _q) in enumerate(gradings):
         by_h.setdefault(h, []).append(i)
-    n_entries: Dict[Tuple[int, int], int] = {}
-    for j in range(n_gens):
-        hj, qj = gradings[j]
-        for h in sorted(by_h):
+    levels = sorted(by_h)
+    n: Rows = {}
+    for j, (hj, qj) in enumerate(gradings):
+        row = {}
+        for h in levels:
             if h < hj + 1:
                 continue
             for i in by_h[h]:
-                if gradings[i][1] - qj >= 2:
-                    if rng.random() < density:
-                        n_entries[(i, j)] = rng.choice((-1, 1))
-    nmat = SparseIntMatrix(n_gens, n_gens, n_entries)
-    ident = _identity(n_gens)
-    g = SparseIntMatrix(n_gens, n_gens,
-                        {**ident.entries, **nmat.entries})
-    # g^{-1} = sum_k (-n)^k, finite because n strictly raises h.
-    g_inv_entries = dict(ident.entries)
-    term = nmat
-    sign = -1
-    while term.nnz():
-        for k, v in term.entries.items():
-            nv = g_inv_entries.get(k, 0) + sign * v
-            if nv:
-                g_inv_entries[k] = nv
-            else:
-                g_inv_entries.pop(k, None)
-        term = term @ nmat
-        sign = -sign
-    g_inv = SparseIntMatrix(n_gens, n_gens, g_inv_entries)
-    perturbed = g @ base @ g_inv
+                if gradings[i][1] - qj >= 2 and \
+                        rng.random() < _SANDBOX_DENSITY:
+                    row[i] = rng.choice((-1, 1))
+        if row:
+            n[j] = row
+    g_inv: Rows = {}
+    for h in reversed(levels):
+        for j in by_h[h]:
+            col = {k: -c for k, c in _apply(g_inv, n.get(j, {})).items()}
+            col[j] = 1
+            g_inv[j] = col
+    g = {j: {j: 1, **n.get(j, {})} for j in range(n_gens)}
+    d = B.out
+    perturbed: Rows = {}
+    for j in range(n_gens):
+        image = _apply(g, _apply(d, g_inv[j]))
+        if image:
+            perturbed[j] = image
     return PerturbedDifferential(
-        matrix=perturbed, base=base, gradings=gradings, certificate=g)
+        matrix=perturbed, base=d, gradings=gradings, certificate=n)
 
 
 # ---------------------------------------------------------------------------

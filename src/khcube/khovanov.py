@@ -305,17 +305,16 @@ class KhovanovComplex:
                 if g.free_rank}
 
 
-def assemble(diagram: PlanarDiagram, strict: bool = True,
-             trust_pseudo: bool = False,
+def assemble(diagram: PlanarDiagram, trust_pseudo: bool = False,
              cube: Optional[GradedCube] = None) -> KhovanovComplex:
     """Build the unreduced complex for a diagram (or a prebuilt cube)."""
     if cube is None:
-        cube = build_cube(diagram, strict=strict, trust_pseudo=trust_pseudo)
+        cube = build_cube(diagram, trust_pseudo=trust_pseudo)
     return KhovanovComplex(cube, reduced=False)
 
 
 def reduced_assemble(diagram: PlanarDiagram, basepoint: Optional[int] = None,
-                     strict: bool = True, trust_pseudo: bool = False,
+                     trust_pseudo: bool = False,
                      cube: Optional[GradedCube] = None) -> KhovanovComplex:
     """Build the reduced complex: basepoint circle labeled minus.
 
@@ -326,7 +325,7 @@ def reduced_assemble(diagram: PlanarDiagram, basepoint: Optional[int] = None,
         diagram = diagram.with_basepoint(basepoint)
         cube = None
     if cube is None:
-        cube = build_cube(diagram, strict=strict, trust_pseudo=trust_pseudo)
+        cube = build_cube(diagram, trust_pseudo=trust_pseudo)
     return KhovanovComplex(cube, reduced=True)
 
 

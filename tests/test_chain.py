@@ -180,17 +180,6 @@ class TestSmithNormalForm:
 
     @settings(max_examples=100, deadline=None)
     @given(_dense_matrices)
-    def test_transforms_diagonalize(self, dense):
-        m = SparseIntMatrix.from_dense(dense)
-        res = smith_normal_form(m, want_transforms=True)
-        d = (res.U @ m) @ res.V
-        assert d.entries == {(k, k): v for k, v in enumerate(res.divisors)}
-        # U and V must be invertible over the integers.
-        assert abs(_det(res.U.to_dense())) == 1
-        assert abs(_det(res.V.to_dense())) == 1
-
-    @settings(max_examples=100, deadline=None)
-    @given(_dense_matrices)
     def test_rank_over_q_agrees(self, dense):
         m = SparseIntMatrix.from_dense(dense)
         assert rank_over_q(m) == smith_normal_form(m).rank
@@ -214,8 +203,6 @@ class TestSmithNormalForm:
     def test_empty_and_zero_matrices(self):
         assert smith_normal_form(SparseIntMatrix(0, 0)).divisors == ()
         assert smith_normal_form(SparseIntMatrix(3, 2)).rank == 0
-        res = smith_normal_form(SparseIntMatrix(3, 2), want_transforms=True)
-        assert abs(_det(res.U.to_dense())) == 1
 
     def test_nontrivial_divisors_strips_units(self):
         m = SparseIntMatrix.from_dense([[1, 0, 0], [0, 1, 0], [0, 0, 4]])
@@ -257,7 +244,6 @@ class TestBigradedComplex:
         rows = {0: {1: 2}}
         c = BigradedComplex([(0, 0), (1, 0)], rows)
         assert c.out is rows
-        assert c.out == BigradedComplex([(0, 0), (1, 0)], [(0, 1, 2)]).out
         assert _flat(c.homology()) == {(1, 0): (0, (2,))}
 
     @pytest.mark.parametrize("rows", [{0: {2: 1}}, {2: {0: 1}}, {-1: {}},
@@ -267,18 +253,18 @@ class TestBigradedComplex:
             BigradedComplex([(0, 0), (1, 0)], rows)
 
     def test_multiplication_by_two_gives_torsion(self):
-        c = BigradedComplex([(0, 0), (1, 0)], [(0, 1, 2)])
+        c = BigradedComplex([(0, 0), (1, 0)], {0: {1: 2}})
         assert _flat(c.homology()) == {(1, 0): (0, (2,))}
 
     def test_two_by_two_torsion_block(self):
         # [[1, 1], [1, -1]] has Smith form diag(1, 2).
         c = BigradedComplex(
             [(0, 0), (0, 0), (1, 0), (1, 0)],
-            [(0, 2, 1), (0, 3, 1), (1, 2, 1), (1, 3, -1)])
+            {0: {2: 1, 3: 1}, 1: {2: 1, 3: -1}})
         assert _flat(c.homology()) == {(1, 0): (0, (2,))}
 
     def test_acyclic_complex(self):
-        c = BigradedComplex([(0, 0), (1, 0)], [(0, 1, 1)])
+        c = BigradedComplex([(0, 0), (1, 0)], {0: {1: 1}})
         assert _flat(c.homology()) == {}
 
     def test_zero_differential(self):
@@ -287,7 +273,7 @@ class TestBigradedComplex:
 
     def test_square_nonzero_rejected(self):
         c = BigradedComplex(
-            [(0, 0), (1, 0), (2, 0)], [(0, 1, 1), (1, 2, 1)])
+            [(0, 0), (1, 0), (2, 0)], {0: {1: 1}, 1: {2: 1}})
         with pytest.raises(NotADifferential):
             c.check_square_zero()
         with pytest.raises(NotADifferential):
@@ -296,7 +282,7 @@ class TestBigradedComplex:
     def test_inhomogeneous_keyed_none(self):
         # d drops two q-levels: not (1, 0)-homogeneous, so the homology
         # is reported as one total group.
-        c = BigradedComplex([(0, 2), (1, 0)], [(0, 1, 3)])
+        c = BigradedComplex([(0, 2), (1, 0)], {0: {1: 3}})
         assert not c.is_homogeneous((1, 0))
         assert c.is_homogeneous((1, -2))
         groups = c.homology()
@@ -305,18 +291,14 @@ class TestBigradedComplex:
 
     def test_entry_out_of_range(self):
         with pytest.raises(ValueError):
-            BigradedComplex([(0, 0)], [(0, 1, 1)])
-
-    def test_entries_accumulate_and_cancel(self):
-        c = BigradedComplex([(0, 0), (1, 0)], [(0, 1, 1), (0, 1, -1)])
-        assert list(c.differential_entries()) == []
+            BigradedComplex([(0, 0)], {0: {1: 1}})
 
     def test_graded_ranks(self):
         c = BigradedComplex([(0, 0), (0, 0), (1, 2)])
         assert c.graded_ranks() == {(0, 0): 2, (1, 2): 1}
 
     def test_rational_ranks_drop_torsion(self):
-        c = BigradedComplex([(0, 0), (1, 0)], [(0, 1, 2)])
+        c = BigradedComplex([(0, 0), (1, 0)], {0: {1: 2}})
         assert c.rational_ranks() == {}
 
 
@@ -343,7 +325,10 @@ class TestBigradedComplex:
         # several.
         assert [b for b in bad if b[0] == src] == [bad[0]]
         assert max(sum(b[0] == s for b in bad) for s in range(n)) > 1
-        c = BigradedComplex([(h, 0) for h in levels], entries)
+        rows = {}
+        for s, t, v in entries:
+            rows.setdefault(s, {})[t] = v
+        c = BigradedComplex([(h, 0) for h in levels], rows)
         expected = (f"d^2 != 0: entry {value} from generator {src} "
                     f"(grading ({levels[src]}, 0)) to {tgt} "
                     f"(grading ({levels[tgt]}, 0)); "
@@ -389,7 +374,7 @@ def _conjugated_sums(draw):
     """A direct sum of Z --(+-1)--> Z, Z --k--> Z (k >= 2) and Z pieces,
     conjugated in every bigrading by a random unimodular matrix.
 
-    Returns (gradings, entries, expected homology as {(h, q):
+    Returns (gradings, rows, expected homology as {(h, q):
     (free_rank, torsion chain)})."""
     pieces = draw(_PIECES)
     gens = []          # (h, q) per generator
@@ -456,8 +441,11 @@ def _conjugated_sums(draw):
     gradings = [None] * len(gens)
     for old, new in enumerate(perm):
         gradings[new] = gens[old]
-    triples = [(perm[s], perm[t], v) for (s, t), v in entries.items() if v]
-    return gradings, triples, expected
+    rows = {}
+    for (s, t), v in entries.items():
+        if v:
+            rows.setdefault(perm[s], {})[perm[t]] = v
+    return gradings, rows, expected
 
 
 def _assert_homology_repeats(c):
@@ -488,8 +476,8 @@ class TestReduction:
     @settings(max_examples=150, deadline=None)
     @given(_conjugated_sums())
     def test_conjugated_direct_sums_match_known_homology(self, case):
-        gradings, entries, expected = case
-        c = BigradedComplex(gradings, entries)
+        gradings, rows, expected = case
+        c = BigradedComplex(gradings, rows)
         _assert_homology_repeats(c)
         assert _flat(c.homology(reduce=True)) == expected
         assert _flat(c.homology(reduce=False)) == expected
@@ -512,8 +500,10 @@ class TestReduction:
         # Gradings (0..2, fixed q) give a two-step complex only when some
         # composite exists; zero out one factor of every bad composite.
         while True:
-            c = BigradedComplex(gradings,
-                                [(s, t, v) for (s, t), v in entries.items()])
+            rows = {}
+            for (s, t), v in entries.items():
+                rows.setdefault(s, {})[t] = v
+            c = BigradedComplex(gradings, rows)
             try:
                 c.check_square_zero()
                 break

@@ -104,7 +104,7 @@ class TestVertices:
 
     def test_tolerant_build_keeps_unverified_status(self):
         d = PlanarDiagram.build(TREFOIL, marked=[])
-        cube = build_cube(d, strict=False)
+        cube = build_cube(d, trust_pseudo=True)
         assert not cube.is_pseudo_diagram()
         assert cube.vertex(()).unlink_status == UNLINK_UNVERIFIED
         assert build_cube(d, trust_pseudo=True).vertex(()).writhe == -3

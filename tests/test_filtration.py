@@ -15,8 +15,8 @@ from khcube import (
     NotFiltered,
     OddSelfIntersection,
     OrderViolation,
+    PerturbedDifferential,
     PlanarDiagram,
-    SparseIntMatrix,
     assemble,
     braid_closure,
     cobordism_order,
@@ -48,7 +48,7 @@ def _conservation_holds(pages):
 class TestOpOrder:
     def test_zero_map_is_infinite(self):
         assert op_order({}, [(0, 0), (1, 0)]) == (math.inf, math.inf)
-        assert op_order(SparseIntMatrix(2, 2), [(0, 0), (1, 0)]) == \
+        assert op_order({0: {}, 1: {0: 0}}, [(0, 0), (1, 0)]) == \
             (math.inf, math.inf)
 
     def test_minima_taken_componentwise(self):
@@ -58,16 +58,10 @@ class TestOpOrder:
         assert op_order(f, gradings) == (1, 1)
 
     def test_matrix_column_convention(self):
+        # A row map lists the image of each source: gen 0 hits gen 1.
         gradings = [(0, 0), (3, 7)]
-        m = SparseIntMatrix(2, 2, {(1, 0): 1})  # image of gen 0 hits gen 1
-        assert op_order(m, gradings) == (3, 7)
-
-    def test_matrix_size_checked(self):
-        with pytest.raises(ValueError):
-            op_order(SparseIntMatrix(3, 3), [(0, 0), (1, 0)])
-
-    def test_triples_accepted(self):
-        assert op_order([(0, 1, 2)], [(0, 0), (-1, 4)]) == (-1, 4)
+        assert op_order({0: {1: 1}}, gradings) == (3, 7)
+        assert op_order({1: {0: 1}}, gradings) == (-3, -7)
 
 
 # -- filtered complexes -------------------------------------------------------
@@ -82,7 +76,7 @@ class TestFilteredComplex:
 
     def test_differential_must_respect_filtration(self):
         # Bidegree (1, -2) lowers q, so the q-filtration rejects it.
-        c = BigradedComplex([(0, 2), (1, 0)], [(0, 1, 1)])
+        c = BigradedComplex([(0, 2), (1, 0)], {0: {1: 1}})
         with pytest.raises(NotFiltered):
             FilteredComplex(c, (0, 1))
         FilteredComplex(c, (1, 0))  # h-filtration is fine
@@ -90,10 +84,10 @@ class TestFilteredComplex:
     def test_differential_must_raise_the_pair(self):
         # Weight (0, 1) leaves p unchanged on both entries; the first keeps
         # the complementary degree h and the second lowers it.
-        c = BigradedComplex([(0, 0), (0, 0)], [(0, 1, 1)])
+        c = BigradedComplex([(0, 0), (0, 0)], {0: {1: 1}})
         with pytest.raises(NotFiltered):
             FilteredComplex(c, (0, 1))
-        c = BigradedComplex([(0, 0), (-1, 0)], [(0, 1, 1)])
+        c = BigradedComplex([(0, 0), (-1, 0)], {0: {1: 1}})
         with pytest.raises(NotFiltered):
             FilteredComplex(c, (0, 1))
 
@@ -290,23 +284,50 @@ class TestSandbox:
     def test_seeds_vary(self):
         kc = assemble(PlanarDiagram.build(TREFOIL))
         matrices = {
-            tuple(sorted(sandbox_perturb(kc, seed=s).matrix.entries.items()))
+            tuple(sorted((s, tuple(sorted(row.items())))
+                         for s, row in sandbox_perturb(kc, seed=s)
+                         .matrix.items()))
             for s in range(6)
         }
         assert len(matrices) > 1
 
     def test_order_contracts(self):
         kc = assemble(PlanarDiagram.build(TREFOIL))
-        pert = sandbox_perturb(kc, seed=3, density=0.4)
+        pert = sandbox_perturb(kc, seed=3)
+        assert pert.certificate
         s, t = pert.order()
         assert s >= 1 and t >= 0
         s, t = pert.difference_order()
         assert s >= 1 and t >= 2
-        assert pert.certificate is not None
 
-    def test_zero_density_returns_base(self):
-        kc = assemble(PlanarDiagram.build(TREFOIL))
-        pert = sandbox_perturb(kc, seed=5, density=0.0)
+    def test_certificate_conjugates_base(self):
+        # matrix = g base g^{-1} with g = id + n, checked as
+        # matrix g = g base on dense matrices (columns are sources).
+        bc = _trefoil_complex()
+        pert = sandbox_perturb(bc, seed=4)
+        assert pert.certificate
+        size = bc.n_generators
+
+        def dense(rows, plus_identity=False):
+            m = [[int(plus_identity and i == j) for j in range(size)]
+                 for i in range(size)]
+            for src, row in rows.items():
+                for tgt, c in row.items():
+                    m[tgt][src] += c
+            return m
+
+        def mul(a, b):
+            return [[sum(a[i][k] * b[k][j] for k in range(size))
+                     for j in range(size)] for i in range(size)]
+
+        g = dense(pert.certificate, plus_identity=True)
+        assert mul(dense(pert.matrix), g) == mul(g, dense(pert.base))
+
+    def test_no_eligible_entry_returns_base(self):
+        # The unknot's two generators share h = 0, so n has no entry.
+        kc = assemble(corpus.get("unknot"))
+        pert = sandbox_perturb(kc, seed=5)
+        assert pert.certificate == {}
         assert pert.matrix == pert.base
         assert pert.difference_order() == (math.inf, math.inf)
 
@@ -315,7 +336,8 @@ class TestSandbox:
         base_h = {k: (g.free_rank, g.torsion)
                   for k, g in kc.bigraded_complex().homology().items()
                   if not g.is_zero()}
-        pert = sandbox_perturb(kc, seed=11, density=0.5)
+        pert = sandbox_perturb(kc, seed=11)
+        assert pert.certificate
         cx = pert.complex()
         pert_h = {k: (g.free_rank, g.torsion)
                   for k, g in cx.homology().items() if not g.is_zero()}
@@ -328,38 +350,43 @@ class TestSandbox:
 
     def test_filtered_spectral_sequence_lands_on_homology_rank(self):
         kc = assemble(PlanarDiagram.build(TREFOIL))
-        pert = sandbox_perturb(kc, seed=2, density=0.6)
+        pert = sandbox_perturb(kc, seed=2)
+        assert pert.certificate
         pages = spectral_sequence(pert.filtered((1, 0)))
         assert _conservation_holds(pages)
         assert pages[-1].total_rank == 4
 
     def test_raw_mode_accepts_base(self):
         bc = _trefoil_complex()
-        base = sandbox_perturb(bc, seed=0, density=0.0).matrix
-        pert = sandbox_perturb(bc, mode="raw", raw=base)
+        pert = PerturbedDifferential(matrix=bc.out, base=bc.out,
+                                     gradings=bc.gradings)
         assert pert.certificate is None
-        assert pert.matrix == base
+        assert pert.matrix == bc.out
 
     def test_raw_mode_rejects_non_square_zero(self):
-        c = BigradedComplex([(0, 0), (1, 0), (2, 0)])
-        bad = SparseIntMatrix(3, 3, {(1, 0): 1, (2, 1): 1})
+        gradings = ((0, 0), (1, 0), (2, 0))
+        bad = {0: {1: 1}, 1: {2: 1}}
         with pytest.raises(NotADifferential):
-            sandbox_perturb(c, mode="raw", raw=bad)
+            PerturbedDifferential(matrix=bad, base={}, gradings=gradings)
 
     def test_raw_mode_rejects_order_violation(self):
         # Square-zero but the difference from the (zero) base has q-shift 0.
-        c = BigradedComplex([(0, 0), (1, 0)])
-        low = SparseIntMatrix(2, 2, {(1, 0): 1})
+        low = {0: {1: 1}}
         with pytest.raises(OrderViolation):
-            sandbox_perturb(c, mode="raw", raw=low)
+            PerturbedDifferential(matrix=low, base={},
+                                  gradings=((0, 0), (1, 0)))
 
     def test_raw_mode_requires_matrix(self):
-        with pytest.raises(ValueError):
-            sandbox_perturb(_trefoil_complex(), mode="raw")
+        # The rows must be a differential on the given generators.
+        gradings = ((0, 0), (1, 0))
+        for rows in ({0: {2: 1}}, {0: {1: 0}}):
+            with pytest.raises(ValueError):
+                PerturbedDifferential(matrix=rows, base={}, gradings=gradings)
 
     def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            sandbox_perturb(_trefoil_complex(), mode="shuffle")
+        # The sandbox has one mode and no knobs: source and seed only.
+        with pytest.raises(TypeError):
+            sandbox_perturb(_trefoil_complex(), seed=0, mode="conjugate")
 
     def test_source_type_checked(self):
         with pytest.raises(TypeError):
