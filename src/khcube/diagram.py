@@ -610,12 +610,14 @@ def diagram_from_json(data) -> PlanarDiagram:
 
     {"crossings": [[a,b,c,d], ...], "n": [ids], "basepoint": arc,
      "circles": k} -- "n" defaults to all crossings, "circles" to 0.
-    Fields of the wrong type raise ``MalformedPD``.
+    Any input that is not such a diagram raises ``MalformedPD``: text
+    that does not parse (nested too deep included), fields of the wrong
+    type, arcs not used exactly twice and crossing ids out of range.
     """
     if isinstance(data, str):
         try:
             data = json.loads(data)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise MalformedPD(f"JSON diagram does not parse: {exc}") from None
     if not isinstance(data, dict) or "crossings" not in data:
         raise MalformedPD("JSON diagram needs a 'crossings' field")
@@ -632,4 +634,7 @@ def diagram_from_json(data) -> PlanarDiagram:
     basepoint = data.get("basepoint")
     if basepoint is not None and not _is_int(basepoint):
         raise MalformedPD("'basepoint' must be an integer")
-    return PlanarDiagram.build(crossings, marked, circles, basepoint)
+    try:
+        return PlanarDiagram.build(crossings, marked, circles, basepoint)
+    except (InconsistentArcs, UnknownCrossingId) as exc:
+        raise MalformedPD(f"{type(exc).__name__}: {exc}") from None

@@ -1,4 +1,15 @@
-"""The Khovanov differential on the cube of resolutions.
+"""The Khovanov complex of a diagram: its cube, and which route computes
+its homology.
+
+Routes.  ``homology`` and ``rational_ranks`` of a genuine diagram (no
+retained crossings) go through ``khcube.local``, Bar-Natan's local
+scan, and never build the cube.  A pseudo-diagram streams its cube by
+q-slice.  ``bigraded_complex`` always materializes the cube complex
+(spectral sequences, the sandbox, ``kh cube`` and ``kh verify`` read
+it), and is the oracle the local scan is tested against.  The cube is
+built on first use of ``cube``, ``bigraded_complex``,
+``total_generators``, ``graded_ranks`` or ``euler_poly``; a
+pseudo-diagram builds and checks it at assembly.
 
 Generators at a vertex are labelings of the state's circles by plus/minus
 basis vectors, encoded as bitmasks (set bit = plus).  Edge maps are the
@@ -35,25 +46,28 @@ vertex gets one {label: id} table, and each edge writes its entries
 straight into the {src: {tgt: sign}} rows that ``BigradedComplex``
 keeps, d^2 = 0 checks and cancellation reduces.  ``bigraded_complex``
 materializes the whole complex when it is small enough to hold in
-memory, and with ``check`` verifies d^2 = 0 on it.  ``homology`` and
-``rational_ranks`` stream instead: each q-slice is assembled once,
+memory, and with ``check`` verifies d^2 = 0 on it.  On the cube route
+``homology`` streams instead: each q-slice is assembled once,
 ``BigradedComplex.homology`` verifies d^2 = 0 on it once and then
 cancels units in the slice's own rows (no caller holds the slice, so it
 needs no copy), and a slice whose differential is not of pure bidegree
-(+1, 0) raises SignInconsistency.
+(+1, 0) raises SignInconsistency.  The local route hands its one final
+complex to the same ``BigradedComplex.homology``.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations
 from math import comb
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .chain import BigradedComplex, HomologyGroup
 from .cube import GradedCube, build_cube
 from .diagram import PlanarDiagram
 from .errors import KhError, SignInconsistency
 from .laurent import LaurentPoly
+from .local import scan_complex
 
 __all__ = ["KhovanovComplex", "assemble", "reduced_assemble", "edge_sign",
            "reidemeister_compare"]
@@ -108,21 +122,40 @@ class _Images(Dict[int, Tuple[int, ...]]):
 
 
 class KhovanovComplex:
-    """Generators, differential, and homology for one diagram's cube."""
+    """Generators, differential, and homology for one diagram."""
 
-    def __init__(self, cube: GradedCube, reduced: bool = False):
-        self.cube = cube
+    def __init__(self, diagram: PlanarDiagram, reduced: bool = False,
+                 trust_pseudo: bool = False,
+                 cube: Optional[GradedCube] = None):
+        self.diagram = diagram
         self.reduced = reduced
+        self._trust_pseudo = trust_pseudo
+        if cube is None and diagram.retained:
+            # Pseudo-diagrams need the cube for everything: build and
+            # check it now, so a bad diagram fails at assembly.
+            cube = build_cube(diagram, trust_pseudo=trust_pseudo)
+        if cube is not None:
+            self.__dict__["cube"] = cube
+
+    @cached_property
+    def cube(self) -> GradedCube:
+        return build_cube(self.diagram, trust_pseudo=self._trust_pseudo)
+
+    @cached_property
+    def _layout(self) -> Tuple[List[int], Sequence[int], Sequence[int],
+                               List[int]]:
+        """Per vertex mask: circle count, h, q - Q, basepoint circle."""
+        cube = self.cube
         verts = cube.vertices
-        self._p = [vx.p for vx in verts]
-        self._h, self._qoff = zip(*map(cube.grading_offsets,
-                                       range(len(verts))))
-        self._bp = [vx.basepoint_circle if reduced else -1 for vx in verts]
-        self._edges = self._edge_maps()
+        h, qoff = zip(*map(cube.grading_offsets, range(len(verts))))
+        return ([vx.p for vx in verts], h, qoff,
+                [vx.basepoint_circle if self.reduced else -1
+                 for vx in verts])
 
     # -- bookkeeping ----------------------------------------------------
 
-    def _edge_maps(self) -> List[Tuple[int, int, int, _Images]]:
+    @cached_property
+    def _edges(self) -> List[Tuple[int, int, int, _Images]]:
         """(source, target, sign, label images) for every edge whose map
         is nonzero, in (mask, coordinate) order.
 
@@ -137,7 +170,7 @@ class KhovanovComplex:
         ends = [tuple(arc_pos[arc] for arc in diagram.crossings[c][:3])
                 for c in diagram.marked_order]
         circles = [vx.arc_circles for vx in cube.vertices]
-        ps = self._p
+        ps = self._layout[0]
         rules: Dict[Tuple[bool, int, int, int], _Images] = {}
         maps: List[Tuple[int, int, int, _Images]] = []
         for v, at_v in enumerate(circles):
@@ -174,7 +207,8 @@ class KhovanovComplex:
     def _popcounts(self, v: int, q: Optional[int] = None) -> Sequence[int]:
         """Label popcounts at a vertex: all of them, or the one (if any)
         that puts its generators in q-grading q."""
-        p, qoff = self._p[v], self._qoff[v]
+        ps, _, qoffs, _ = self._layout
+        p, qoff = ps[v], qoffs[v]
         n_free = p - 1 if self.reduced else p
         if q is None:
             return range(n_free + 1)
@@ -184,7 +218,8 @@ class KhovanovComplex:
     def _vertex_masks(self, v: int, popcount: int) -> Iterable[int]:
         """Label bitmasks of a given popcount at a vertex (basepoint bit
         forced 0 if reduced)."""
-        positions = [i for i in range(self._p[v]) if i != self._bp[v]]
+        ps, _, _, bps = self._layout
+        positions = [i for i in range(ps[v]) if i != bps[v]]
         for chosen in combinations(positions, popcount):
             m = 0
             for i in chosen:
@@ -193,12 +228,14 @@ class KhovanovComplex:
 
     @property
     def total_generators(self) -> int:
-        return sum(1 << (p - 1 if self.reduced else p) for p in self._p)
+        return sum(1 << (p - 1 if self.reduced else p)
+                   for p in self._layout[0])
 
     def graded_ranks(self) -> Dict[Tuple[int, int], int]:
         """Chain-group dimensions per (h, q)."""
         out: Dict[Tuple[int, int], int] = {}
-        for h, qoff, p in zip(self._h, self._qoff, self._p):
+        ps, hs, qoffs, _ = self._layout
+        for h, qoff, p in zip(hs, qoffs, ps):
             n_free = p - 1 if self.reduced else p
             for pc in range(n_free + 1):
                 q = qoff + 2 * pc - p
@@ -230,10 +267,11 @@ class KhovanovComplex:
         """
         gradings: List[Tuple[int, int]] = []
         tables: List[Dict[int, int]] = []
-        for v, p in enumerate(self._p):
+        ps, hs, qoffs, _ = self._layout
+        for v, p in enumerate(ps):
             table: Dict[int, int] = {}
             for pc in self._popcounts(v, q):
-                grading = (self._h[v], self._qoff[v] + 2 * pc - p)
+                grading = (hs[v], qoffs[v] + 2 * pc - p)
                 for label in self._vertex_masks(v, pc):
                     table[label] = len(gradings)
                     gradings.append(grading)
@@ -276,26 +314,37 @@ class KhovanovComplex:
     # -- streaming homology -------------------------------------------------
 
     def _q_values(self) -> List[int]:
-        return sorted({self._qoff[v] + 2 * pc - self._p[v]
-                       for v in range(len(self._p))
+        ps, _, qoffs, _ = self._layout
+        return sorted({qoffs[v] + 2 * pc - ps[v] for v in range(len(ps))
                        for pc in self._popcounts(v)})
 
-    def homology(self) -> Dict[Tuple[int, int], HomologyGroup]:
-        """Integral homology per (h, q), streamed by q-slice.
+    def _complexes(self) -> Iterator[Tuple[str, BigradedComplex]]:
+        """Complexes whose homologies make up the diagram's: for a
+        genuine diagram the one the local scan leaves, else each
+        q-slice of the cube."""
+        if not self.diagram.retained:
+            yield "local scan", scan_complex(self.diagram, self.reduced)
+            return
+        for q in self._q_values():
+            yield f"slice q={q}", self._assemble(q)
 
-        The differential is q-pure, so the slices assemble the whole
-        homology.  Each slice is verified (d^2 = 0) by
-        BigradedComplex.homology; a slice whose differential is not of
-        bidegree (+1, 0) raises SignInconsistency here.
+    def homology(self) -> Dict[Tuple[int, int], HomologyGroup]:
+        """Integral homology per (h, q).
+
+        A genuine diagram goes through the local scan (``khcube.local``)
+        and builds no cube; a pseudo-diagram streams its cube by
+        q-slice, which the q-pure differential allows.  Each complex is
+        verified (d^2 = 0) by BigradedComplex.homology; one whose
+        differential is not of bidegree (+1, 0) raises SignInconsistency
+        here.
         """
         out: Dict[Tuple[int, int], HomologyGroup] = {}
-        for q in self._q_values():
-            cx = self._assemble(q)
+        for where, cx in self._complexes():
             cx._disposable = True   # no caller holds it: cancel in place
             for key, grp in cx.homology().items():
                 if key is None:
                     raise SignInconsistency(
-                        f"differential not pure (+1,0) on slice q={q}")
+                        f"differential not pure (+1,0) on {where}")
                 out[key] = grp
         return out
 
@@ -307,10 +356,8 @@ class KhovanovComplex:
 
 def assemble(diagram: PlanarDiagram, trust_pseudo: bool = False,
              cube: Optional[GradedCube] = None) -> KhovanovComplex:
-    """Build the unreduced complex for a diagram (or a prebuilt cube)."""
-    if cube is None:
-        cube = build_cube(diagram, trust_pseudo=trust_pseudo)
-    return KhovanovComplex(cube, reduced=False)
+    """The unreduced complex of a diagram (or of a prebuilt cube)."""
+    return KhovanovComplex(diagram, False, trust_pseudo, cube)
 
 
 def reduced_assemble(diagram: PlanarDiagram, basepoint: Optional[int] = None,
@@ -324,9 +371,7 @@ def reduced_assemble(diagram: PlanarDiagram, basepoint: Optional[int] = None,
     if basepoint is not None:
         diagram = diagram.with_basepoint(basepoint)
         cube = None
-    if cube is None:
-        cube = build_cube(diagram, trust_pseudo=trust_pseudo)
-    return KhovanovComplex(cube, reduced=True)
+    return KhovanovComplex(diagram, True, trust_pseudo, cube)
 
 
 def _homology_table(diagram: PlanarDiagram, reduced: bool):

@@ -62,11 +62,13 @@ _T45_SECONDS: Optional[float] = None
 def _t45_reduced_table() -> Tuple[Dict[Tuple[int, int], int], float]:
     """Reduced rational rank table of the (4,5) torus closure, cached.
 
-    KhovanovComplex.rational_ranks streams q-slice by q-slice: each slice
-    is checked for d^2 = 0 once, by BigradedComplex.homology, and for
-    exact bidegree (+1, 0), by KhovanovComplex.homology, so the
-    square-zero/purity criterion covers this diagram inside the budget of
-    the rank check.
+    The closure is a genuine diagram, so KhovanovComplex.rational_ranks
+    takes the local scan (``khcube.local``) and builds no cube: d o d = 0
+    is checked in the cobordism category after every crossing, and the
+    final complex once more, with exact bidegree (+1, 0), by
+    BigradedComplex.homology and KhovanovComplex.homology.  So the
+    square-zero/purity criterion covers this diagram inside the budget
+    of the rank check.
     """
     global _T45_TABLE, _T45_SECONDS
     if _T45_TABLE is None:

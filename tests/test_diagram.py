@@ -1,5 +1,6 @@
 """Planar-diagram validation, orientation, resolution, and serialization."""
 
+import json
 import random
 
 import pytest
@@ -136,6 +137,43 @@ class TestParsing:
     def test_json_field_types_checked(self, data):
         with pytest.raises(MalformedPD):
             diagram_from_json(data)
+
+
+# Any JSON value; and objects shaped like the schema, whose fields are
+# small integers or lists of them (or, now and then, any JSON value).
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12)
+_SMALL = st.integers(-2, 9)
+_SHAPED = st.fixed_dictionaries({}, optional={
+    "crossings": st.lists(st.lists(_SMALL, min_size=3, max_size=5),
+                          max_size=4) | _JSON,
+    "n": st.lists(_SMALL, max_size=5) | _JSON,
+    "circles": _SMALL | _JSON,
+    "basepoint": _SMALL | _JSON,
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_JSON, _SHAPED, _SHAPED.map(json.dumps), st.text()))
+def test_diagram_from_json_returns_a_diagram_or_raises_malformed(data):
+    try:
+        d = diagram_from_json(data)
+    except MalformedPD:
+        return
+    assert isinstance(d, PlanarDiagram)
+
+
+@pytest.mark.parametrize("data", [
+    {"crossings": [[1, 2, 3, 4]]},
+    {"crossings": [[1, 2, 3, 4], [1, 4, 3, 2]], "n": [2]},
+    "[" * 100_000,
+], ids=["arcs", "crossing-id", "deep-text"])
+def test_diagram_from_json_refusals_are_malformed(data):
+    with pytest.raises(MalformedPD):
+        diagram_from_json(data)
 
 
 # -- orientation and signs ----------------------------------------------

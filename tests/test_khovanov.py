@@ -259,7 +259,12 @@ def test_square_zero_checked_once_per_slice(monkeypatch, diagram, method):
 
     monkeypatch.setattr(BigradedComplex, "check_square_zero", counted)
     getattr(kc, method)()
-    assert len(calls) == len(kc._q_values())
+    if diagram.retained:
+        assert len(calls) == len(kc._q_values())
+    else:
+        # The local scan checks d o d = 0 itself after every crossing;
+        # its final complex is checked once more, as one piece.
+        assert len(calls) == 1
 
 
 # -- edge-map oracle ----------------------------------------------------------
